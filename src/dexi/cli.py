@@ -8,11 +8,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import indexing
 from .corpus import CorpusError, load_corpus
 from .experiment import run_nondeterminism_experiment
 from .indexing import CONFIG_LABELS, DexiError, config_from_label
 from .search import FaultCatalog, completeness_check, explore
+from .simulator import ExecutionTrace
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -107,63 +107,20 @@ def cmd_nondeterminism(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace_file(path: Path):
-    from .programs import EntryRequest
-    from .simulator import ExecutionTrace, RpcEvent
-
-    events = []
-    header = None
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if doc.get("kind") == "trace_header":
-            header = doc
-            continue
-        events.append(
-            RpcEvent(
-                kind=doc["kind"],
-                sequence_number=doc["seq"],
-                caller=doc.get("caller", ""),
-                callee=doc.get("callee", ""),
-                method=doc.get("method", ""),
-                dei=indexing.decode(doc["dei"]) if "dei" in doc else None,
-                preliminary_dei=(
-                    indexing.decode(doc["preliminary_dei"])
-                    if "preliminary_dei" in doc
-                    else None
-                ),
-                payload=tuple(doc.get("payload", {}).items()) if "payload" in doc else None,
-                outcome=doc.get("outcome"),
-                lineage=tuple(doc.get("task", [])),
-            )
-        )
-    if header is None:
-        raise DexiError(f"trace file {path} has no header record")
-    entry = EntryRequest(
-        service=header["entry"]["service"],
-        method=header["entry"]["method"],
-        args=header["entry"]["args"],
-    )
-    return ExecutionTrace(
-        events=tuple(events),
-        entry_request=entry,
-        entry_outcome=header.get("entry_outcome", {}),
-        seed=header.get("seed", 0),
-        scheduler_mode=header.get("scheduler", "virtual"),
-        config=indexing.FULL_CONFIG,
-        warnings=tuple(header.get("warnings", [])),
-    )
+def _load_trace_file(path: Path) -> ExecutionTrace:
+    return ExecutionTrace.from_json_lines(path.read_text().splitlines())
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     from .search import reconstruct_graph
 
-    try:
-        traces = [_load_trace_file(Path(p)) for p in args.traces]
-    except (OSError, json.JSONDecodeError, indexing.DecodeError, DexiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    traces = []
+    for path in args.traces:
+        try:
+            traces.append(_load_trace_file(Path(path)))
+        except (OSError, UnicodeDecodeError, DexiError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
     graph = reconstruct_graph(traces)
     _write_json(args.out, graph.to_json())
     for edge in graph.edges:

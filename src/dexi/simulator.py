@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -36,6 +37,7 @@ from .indexing import (
     EMPTY_INDEX,
     EMPTY_PAYLOAD,
     FULL_CONFIG,
+    IndexEntry,
     InstantiationConfig,
     InvocationPayload,
     InvocationSignature,
@@ -192,6 +194,24 @@ class RpcEvent:
             doc["outcome"] = self.outcome
         return doc
 
+    @classmethod
+    def from_json(cls, doc: Mapping[str, Any]) -> RpcEvent:
+        """Rebuild an event from its `to_json` record."""
+        return cls(
+            kind=doc["kind"],
+            sequence_number=doc["seq"],
+            caller=doc.get("caller", ""),
+            callee=doc.get("callee", ""),
+            method=doc.get("method", ""),
+            dei=indexing.decode(doc["dei"]) if "dei" in doc else None,
+            preliminary_dei=(
+                indexing.decode(doc["preliminary_dei"]) if "preliminary_dei" in doc else None
+            ),
+            payload=tuple(doc["payload"].items()) if "payload" in doc else None,
+            outcome=doc.get("outcome"),
+            lineage=tuple(doc.get("task", [])),
+        )
+
 
 @dataclass(frozen=True)
 class ExecutionTrace:
@@ -215,8 +235,6 @@ class ExecutionTrace:
         return tuple(sorted(indexing.encode(d) for d in self.invocation_deis()))
 
     def to_json_lines(self) -> list[str]:
-        import json as _json
-
         header = {
             "kind": "trace_header",
             "entry": {
@@ -227,11 +245,48 @@ class ExecutionTrace:
             "entry_outcome": self.entry_outcome,
             "seed": self.seed,
             "scheduler": self.scheduler_mode,
+            "config": vars(self.config),
             "warnings": list(self.warnings),
         }
-        lines = [_json.dumps(header, sort_keys=True)]
-        lines.extend(_json.dumps(e.to_json(), sort_keys=True) for e in self.events)
+        lines = [json.dumps(header, sort_keys=True)]
+        lines.extend(json.dumps(e.to_json(), sort_keys=True) for e in self.events)
         return lines
+
+    @classmethod
+    def from_json_lines(cls, lines: Iterable[str]) -> ExecutionTrace:
+        """Rebuild a trace from the lines `to_json_lines` wrote.
+
+        A header without `config` loads as the full instantiation. Malformed
+        input raises `DexiError` naming the offending line.
+        """
+        header: dict[str, Any] | None = None
+        events = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise DexiError("record is not a JSON object")
+                if doc.get("kind") != "trace_header":
+                    events.append(RpcEvent.from_json(doc))
+                    continue
+                entry = doc["entry"]
+                header = {
+                    "entry_request": EntryRequest(entry["service"], entry["method"], entry["args"]),
+                    "entry_outcome": doc.get("entry_outcome", {}),
+                    "seed": doc.get("seed", 0),
+                    "scheduler_mode": doc.get("scheduler", "virtual"),
+                    "config": InstantiationConfig(**doc.get("config", {})),
+                    "warnings": tuple(doc.get("warnings", [])),
+                }
+            except KeyError as exc:
+                raise DexiError(f"line {number}: missing field {exc}") from None
+            except (AttributeError, TypeError, ValueError, RecursionError, DexiError) as exc:
+                raise DexiError(f"line {number}: {exc}") from None
+        if header is None:
+            raise DexiError("trace has no header record")
+        return cls(events=tuple(events), **header)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +307,7 @@ class HandlerAbort(Exception):
 
     def __init__(self, fault_type: str) -> None:
         super().__init__(fault_type)
-        self.fault_type = fault_type
+        self.descriptor = {"fault": fault_type}
 
 
 class _BreakSignal(Exception):
@@ -270,13 +325,17 @@ class _ReturnSignal(Exception):
 
 
 class _TaskHandle:
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self, runner: Callable[[], Any]) -> None:
+        self.runner = runner
+        self.future: Future | None = None  # set when submitted to a worker
         self.done = False
         self.value: Any = None
         self.error: Exception | None = None
 
-    def finish(self, runner: Callable[[], Any]) -> None:
+    def finish(self) -> None:
+        # Drop the runner first: its closure reaches this handle through the
+        # spawning scope, and the cycle would outlive the execution.
+        runner, self.runner = self.runner, None
         try:
             self.value = runner()
         except Exception as exc:  # surfaced at await_all, in creation order
@@ -291,21 +350,20 @@ class VirtualScheduler:
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._pending: dict[int, Callable[[], Any]] = {}
-        self._counter = itertools.count()
+        self._pending: set[_TaskHandle] = set()
 
     def spawn(self, runner: Callable[[], Any], depth: int) -> _TaskHandle:
-        handle = _TaskHandle(next(self._counter))
-        self._pending[handle.index] = runner
+        handle = _TaskHandle(runner)
+        self._pending.add(handle)
         return handle
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         waiting = [h for h in handles if not h.done]
         self._rng.shuffle(waiting)
         for handle in waiting:
-            runner = self._pending.pop(handle.index, None)
-            if runner is not None:
-                handle.finish(runner)
+            if handle in self._pending:
+                self._pending.remove(handle)
+                handle.finish()
 
     def pre_dispatch(self) -> None:
         pass
@@ -335,28 +393,22 @@ class ThreadScheduler:
         self._executor = ThreadPoolExecutor(max_workers=pool_size)
         self._jitter = jitter_seconds
         self._rng = random.SystemRandom()
-        self._counter = itertools.count()
-        self._futures: list = []
+        self._futures: list[Future] = []
 
     def spawn(self, runner: Callable[[], Any], depth: int) -> _TaskHandle:
-        handle = _TaskHandle(next(self._counter))
+        handle = _TaskHandle(runner)
+        # Nested blocks run inline on the parent's worker at await time.
         if depth == 0:
-            future = self._executor.submit(handle.finish, runner)
-            handle._future = future  # type: ignore[attr-defined]
-            self._futures.append(future)
-        else:
-            # Nested blocks run inline on the parent's worker so a small pool
-            # cannot deadlock on itself.
-            handle._runner = runner  # type: ignore[attr-defined]
+            handle.future = self._executor.submit(handle.finish)
+            self._futures.append(handle.future)
         return handle
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         for handle in handles:
-            future = getattr(handle, "_future", None)
-            if future is not None:
-                future.result()
+            if handle.future is not None:
+                handle.future.result()
             elif not handle.done:
-                handle.finish(handle._runner)  # type: ignore[attr-defined]
+                handle.finish()
 
     def pre_dispatch(self) -> None:
         if self._jitter > 0:
@@ -384,23 +436,13 @@ def _make_scheduler(mode: str, seed: int, pool_size: int) -> VirtualScheduler | 
 
 
 class _Stream:
-    def __init__(
-        self,
-        callee: str,
-        method: str,
-        signature: Signature,
-        prelim_inv: InvocationSignature,
-        base_path: DistributedExecutionIndex,
-        base_count: int,
-        frames: tuple[tuple[str, str], ...],
-    ) -> None:
+    """A client stream. Its preliminary `base` index carries the caller path,
+    the masked signature and the base count its messages are numbered from."""
+
+    def __init__(self, callee: str, method: str, base: DistributedExecutionIndex) -> None:
         self.callee = callee
         self.method = method
-        self.signature = signature
-        self.prelim_inv = prelim_inv
-        self.base_path = base_path
-        self.base_count = base_count
-        self.frames = frames
+        self.base = base
         self.delivered = 0
         self.in_flight = 0
         self.open = True
@@ -437,6 +479,10 @@ class _HandlerCtx:
         )
         ctx.streams = self.streams
         return ctx
+
+    def frames_at(self, line: int) -> tuple[tuple[str, str], ...]:
+        """The call stack of a statement at `line` of this handler."""
+        return self.frames + ((f"{self.service.source_file}:{line}", self.symbol),)
 
 
 class _Execution:
@@ -492,17 +538,33 @@ class _Execution:
 
     def assign_index(
         self,
-        path: DistributedExecutionIndex,
-        inv_sig: InvocationSignature,
-        lineage: tuple[int, ...],
+        ctx: _HandlerCtx,
+        sig: Signature,
+        payload: InvocationPayload,
+        frames: tuple[tuple[str, str], ...],
         preliminary: bool = False,
     ) -> DistributedExecutionIndex:
-        id_path = path if self.config.include_path else EMPTY_INDEX
-        id_inv = mask_invocation_signature(inv_sig, self.config)
-        self.detail_table[id_inv.digest_triple()] = id_inv
+        """Extend the caller's path with one counted invocation signature.
+
+        A preliminary (stream-open) index pairs the signature with the empty
+        payload, because the real payloads are unknown at open time, so it
+        skips the arity check and the ambiguity and collision warnings.
+        """
+        stack = CallStackDigest.from_frames(frames, self.stack_policy)
+        if preliminary:
+            inv = InvocationSignature(signature=sig, payload=payload, callstack=stack)
+        else:
+            inv = make_invocation_signature(sig, payload, stack)
+        id_path = ctx.path if self.config.include_path else EMPTY_INDEX
+        id_inv = mask_invocation_signature(inv, self.config)
+        known = self.detail_table.setdefault(id_inv.digest_triple(), id_inv)
+        if known is not id_inv and known != id_inv:
+            raise DexiError(
+                f"digest collision: {known.render()} and {id_inv.render()} share one digest triple"
+            )
         if self.config.include_count:
-            count, raced = self.counter.claim(id_path, id_inv, lineage)
-            if raced:
+            count, raced = self.counter.claim(id_path, id_inv, ctx.lineage)
+            if raced and not preliminary:
                 self.warn(
                     "detected-ambiguity: concurrent RPCs share signature, stack, and "
                     f"payload at {id_inv.render()}; counts may permute across executions"
@@ -511,40 +573,16 @@ class _Execution:
             count = 1
         dei = dei_extend(id_path, id_inv, count)
         if preliminary:
-            dei = _mark_last_preliminary(dei)
-        else:
-            with self._lock:
-                key = dei.key()
-                collided = key in self.assigned
-                self.assigned.add(key)
-            if collided:
-                self.warn(
-                    f"identifier collision under the active instantiation: {dei.render()}"
-                )
-        return dei
-
-    def normalize(self, dei: DistributedExecutionIndex) -> DistributedExecutionIndex:
-        """Resolve preliminary stream prefixes to their final form."""
-        return _apply_rewrites(dei, self.rewrites)
-
-    # -- context propagation
-
-    def propagate_context(self, metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
-        if metadata is None or INDEX_METADATA_KEY not in metadata:
-            return EMPTY_INDEX
-        try:
-            dei = indexing.decode(metadata[INDEX_METADATA_KEY])
-        except indexing.DecodeError as exc:
-            raise MetadataError(f"undecodable index metadata: {exc}") from exc
-        preliminary = metadata.get(PRELIMINARY_METADATA_KEY) == "true"
-        entries = []
-        for position, entry in enumerate(dei.entries):
-            detail = self.detail_table.get(entry.digest_key())
-            is_last = position == len(dei.entries) - 1
-            entries.append(
-                replace(entry, detail=detail, preliminary=entry.preliminary or (preliminary and is_last))
+            return _mark_last_preliminary(dei)
+        with self._lock:
+            key = dei.key()
+            collided = key in self.assigned
+            self.assigned.add(key)
+        if collided:
+            self.warn(
+                f"identifier collision under the active instantiation: {dei.render()}"
             )
-        return DistributedExecutionIndex(tuple(entries))
+        return dei
 
     # -- RPC dispatch
 
@@ -553,10 +591,8 @@ class _Execution:
         try:
             value = self.handle(entry.service, entry.method, copy.deepcopy(dict(entry.args)), None, ())
             return {"value": value}
-        except RpcFailure as failure:
+        except (RpcFailure, HandlerAbort) as failure:
             return dict(failure.descriptor)
-        except HandlerAbort as abort:
-            return {"fault": abort.fault_type}
 
     def handle(
         self,
@@ -567,7 +603,16 @@ class _Execution:
         lineage: tuple[int, ...],
     ) -> Any:
         endpoint = self.app.endpoint(service, method)
-        path = self.propagate_context(metadata)
+        path = propagate_context(metadata)
+        if path.entries:
+            # The wire carries digests only; restore the signatures this
+            # execution assigned, for reporting.
+            table = self.detail_table
+            path = DistributedExecutionIndex(tuple(
+                IndexEntry(e.signature_digest, e.payload_digest, e.callstack_digest, e.count,
+                           table.get(e.digest_key()), e.preliminary)
+                for e in path.entries
+            ))
         scope = {name: args[name] for name, _ in endpoint.params}
         ctx = _HandlerCtx(self.app.services[service], method, scope, (), path, lineage)
         try:
@@ -588,25 +633,35 @@ class _Execution:
         method: str,
         args: dict[str, Any],
         frames: tuple[tuple[str, str], ...],
+        stream: _Stream | None = None,
     ) -> Any:
-        endpoint = self.app.endpoint(callee, method)
-        sig = Signature(callee, method, endpoint.params)
+        """Assign the RPC's index, inject a planned fault or deliver the call.
+
+        A message on `stream` travels with the preliminary index the callee
+        numbers it by, and that index is queued for rewriting to its final one.
+        """
+        if stream is None:
+            sig = Signature(callee, method, self.app.endpoint(callee, method).params)
+        else:
+            sig = stream.base.last.detail.signature
         payload = InvocationPayload.from_mapping(sig, args)
-        stack = CallStackDigest.from_frames(frames, self.stack_policy)
-        inv = make_invocation_signature(sig, payload, stack)
         self.scheduler.pre_dispatch()
-        dei = self.assign_index(ctx.path, inv, ctx.lineage)
-        ordered_args = tuple((name, args[name]) for name, _ in endpoint.params)
+        dei = self.assign_index(ctx, sig, payload, frames)
+        # Plans name final indexes; resolve preliminary stream prefixes first.
+        spec = self.plan.match(_apply_rewrites(dei, self.rewrites))
+        implicit = None
+        if stream is not None and spec is None:
+            implicit = self._stream_message_index(ctx, stream, dei)
         self.record(
             kind="invocation",
             caller=ctx.service.name,
             callee=callee,
             method=method,
             dei=dei,
-            payload=ordered_args,
+            preliminary_dei=implicit,
+            payload=tuple((name, args[name]) for name, _ in sig.parameters),
             lineage=ctx.lineage,
         )
-        spec = self.plan.match(self.normalize(dei))
         if spec is not None:
             self.record(
                 kind="fault_injected",
@@ -621,95 +676,68 @@ class _Execution:
                 return spec.response
             raise RpcFailure(spec.descriptor(), injected=True)
         metadata = {
-            INDEX_METADATA_KEY: indexing.encode(dei),
-            PRELIMINARY_METADATA_KEY: "false",
+            INDEX_METADATA_KEY: indexing.encode(dei if implicit is None else implicit),
+            PRELIMINARY_METADATA_KEY: "false" if implicit is None else "true",
         }
-        return self._deliver(ctx, callee, method, args, metadata, dei)
-
-    def _deliver(
-        self,
-        ctx: _HandlerCtx,
-        callee: str,
-        method: str,
-        args: dict[str, Any],
-        metadata: Mapping[str, str],
-        dei: DistributedExecutionIndex,
-    ) -> Any:
         try:
-            value = self.handle(callee, method, args, metadata, ctx.lineage)
-        except RpcFailure as failure:
-            # The callee's unhandled downstream failure surfaces at this call
-            # site as a failure of this RPC, with the same descriptor.
-            self.record(
-                kind="completion",
-                caller=ctx.service.name,
-                callee=callee,
-                method=method,
-                dei=dei,
-                outcome=dict(failure.descriptor),
-                lineage=ctx.lineage,
-            )
-            raise RpcFailure(dict(failure.descriptor)) from None
-        except HandlerAbort as abort:
-            descriptor = {"fault": abort.fault_type}
-            self.record(
-                kind="completion",
-                caller=ctx.service.name,
-                callee=callee,
-                method=method,
-                dei=dei,
-                outcome=descriptor,
-                lineage=ctx.lineage,
-            )
-            raise RpcFailure(dict(descriptor)) from None
+            outcome = {"value": self.handle(callee, method, args, metadata, ctx.lineage)}
+            failed = False
+        except (RpcFailure, HandlerAbort) as exc:
+            outcome, failed = dict(exc.descriptor), True
         self.record(
             kind="completion",
             caller=ctx.service.name,
             callee=callee,
             method=method,
             dei=dei,
-            outcome={"value": value},
+            outcome=outcome,
             lineage=ctx.lineage,
         )
-        return value
+        if failed:
+            # The callee's unhandled failure surfaces at this call site as a
+            # failure of this RPC, with the same descriptor.
+            raise RpcFailure(dict(outcome))
+        return outcome["value"]
 
     # -- streams
+
+    def _stream_message_index(
+        self, ctx: _HandlerCtx, stream: _Stream, final: DistributedExecutionIndex
+    ) -> DistributedExecutionIndex:
+        """Number the next delivered message from the stream's base index and
+        queue its rewrite to `final`."""
+        base_path, base = stream.base.prefix(), stream.base.last
+        # The callee numbers delivered messages from the preliminary base;
+        # claiming the same counter key on the caller side (atomically
+        # with the ordinal) keeps the two views in lockstep and keeps
+        # later streams at this site distinct.
+        with stream.lock:
+            stream.delivered += 1
+            count = base.count + stream.delivered
+            if self.config.include_count:
+                mirrored, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
+                if mirrored != count:
+                    self.warn(
+                        f"stream counter drift between caller and callee at {base.detail.render()}"
+                    )
+            implicit = _mark_last_preliminary(dei_extend(base_path, base.detail, count))
+            stream.pairs.append((implicit, final))
+        with self._lock:
+            self.rewrites[implicit.key()] = final
+        return implicit
 
     def open_stream(self, ctx: _HandlerCtx, stmt: OpenStream) -> _Stream:
         endpoint = self.app.endpoint(stmt.service, stmt.method)
         sig = Signature(stmt.service, stmt.method, endpoint.params)
-        frames = ctx.frames + (
-            (f"{ctx.service.source_file}:{stmt.line}", ctx.symbol),
-        )
-        stack = CallStackDigest.from_frames(frames, self.stack_policy)
-        # A preliminary index deliberately pairs the signature with the empty
-        # payload (the real payloads are unknown at open time), so it skips
-        # the arity check a normal invocation signature gets.
-        prelim_inv = InvocationSignature(signature=sig, payload=EMPTY_PAYLOAD, callstack=stack)
-        id_path = ctx.path if self.config.include_path else EMPTY_INDEX
-        id_inv = mask_invocation_signature(prelim_inv, self.config)
-        self.detail_table[id_inv.digest_triple()] = id_inv
-        if self.config.include_count:
-            base_count, _ = self.counter.claim(id_path, id_inv, ctx.lineage)
-        else:
-            base_count = 1
-        base_dei = _mark_last_preliminary(dei_extend(id_path, id_inv, base_count))
-        stream = _Stream(
-            callee=stmt.service,
-            method=stmt.method,
-            signature=sig,
-            prelim_inv=id_inv,
-            base_path=id_path,
-            base_count=base_count,
-            frames=frames,
-        )
+        base = self.assign_index(ctx, sig, EMPTY_PAYLOAD, ctx.frames_at(stmt.line), preliminary=True)
+        stream = _Stream(stmt.service, stmt.method, base)
         ctx.streams.append(stream)
         self.record(
             kind="stream_opened",
             caller=ctx.service.name,
             callee=stmt.service,
             method=stmt.method,
-            preliminary_dei=base_dei,
+            preliminary_dei=base,
             lineage=ctx.lineage,
         )
         return stream
@@ -728,79 +756,12 @@ class _Execution:
                 )
             stream.in_flight += 1
         try:
-            payload = InvocationPayload.from_mapping(stream.signature, args)
-            stack = CallStackDigest.from_frames(frames, self.stack_policy)
-            final_inv = make_invocation_signature(stream.signature, payload, stack)
-            self.scheduler.pre_dispatch()
-            final_dei = self.assign_index(ctx.path, final_inv, ctx.lineage)
-            spec = self.plan.match(self.normalize(final_dei))
-            if spec is not None:
-                self.record(
-                    kind="invocation",
-                    caller=ctx.service.name,
-                    callee=stream.callee,
-                    method=stream.method,
-                    dei=final_dei,
-                    payload=tuple(args.items()),
-                    lineage=ctx.lineage,
-                )
-                self.record(
-                    kind="fault_injected",
-                    caller=ctx.service.name,
-                    callee=stream.callee,
-                    method=stream.method,
-                    dei=final_dei,
-                    outcome=spec.descriptor(),
-                    lineage=ctx.lineage,
-                )
-                if spec.mode == "response":
-                    return spec.response
-                raise RpcFailure(spec.descriptor(), injected=True)
-            # The callee numbers delivered messages from the preliminary base;
-            # claiming the same counter key on the caller side (atomically
-            # with the ordinal) keeps the two views in lockstep and keeps
-            # later streams at this site distinct.
-            with stream.lock:
-                stream.delivered += 1
-                implicit_count = stream.base_count + stream.delivered
-                if self.config.include_count:
-                    mirrored, _ = self.counter.claim(
-                        stream.base_path, stream.prelim_inv, ctx.lineage
-                    )
-                    if mirrored != implicit_count:
-                        self.warn(
-                            "stream counter drift between caller and callee at "
-                            f"{stream.prelim_inv.render()}"
-                        )
-            implicit_dei = _mark_last_preliminary(
-                dei_extend(stream.base_path, stream.prelim_inv, implicit_count)
-            )
-            with self._lock:
-                self.rewrites[implicit_dei.key()] = final_dei
-            with stream.lock:
-                stream.pairs.append((implicit_dei, final_dei))
-            self.record(
-                kind="invocation",
-                caller=ctx.service.name,
-                callee=stream.callee,
-                method=stream.method,
-                dei=final_dei,
-                preliminary_dei=implicit_dei,
-                payload=tuple(args.items()),
-                lineage=ctx.lineage,
-            )
-            metadata = {
-                INDEX_METADATA_KEY: indexing.encode(implicit_dei),
-                PRELIMINARY_METADATA_KEY: "true",
-            }
-            return self._deliver(ctx, stream.callee, stream.method, args, metadata, final_dei)
+            return self.invoke_rpc(ctx, stream.callee, stream.method, args, frames, stream)
         finally:
             with stream.lock:
                 stream.in_flight -= 1
 
-    def finalize_stream(
-        self, stream: _Stream
-    ) -> dict[DistributedExecutionIndex, DistributedExecutionIndex]:
+    def finalize_stream(self, stream: _Stream) -> None:
         with stream.lock:
             if stream.in_flight:
                 raise StreamStateError(
@@ -818,7 +779,6 @@ class _Execution:
                 dei=final,
                 preliminary_dei=implicit,
             )
-        return dict(pairs)
 
     # -- interpreter
 
@@ -863,19 +823,13 @@ class _Execution:
             ctx.scope.setdefault(stmt.list_var, []).append(self.eval_expr(ctx, stmt.value))
         elif isinstance(stmt, Rpc):
             args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            frames = ctx.frames + (
-                (f"{ctx.service.source_file}:{stmt.line}", ctx.symbol),
-            )
-            value = self.invoke_rpc(ctx, stmt.service, stmt.method, args, frames)
+            value = self.invoke_rpc(ctx, stmt.service, stmt.method, args, ctx.frames_at(stmt.line))
             if stmt.assign:
                 ctx.scope[stmt.assign] = value
         elif isinstance(stmt, CallHelper):
             helper = ctx.service.helpers[stmt.helper]
             args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            frames = ctx.frames + (
-                (f"{ctx.service.source_file}:{stmt.line}", ctx.symbol),
-            )
-            child = ctx.child(symbol=stmt.helper, scope=dict(args), frames=frames)
+            child = ctx.child(symbol=stmt.helper, scope=dict(args), frames=ctx.frames_at(stmt.line))
             value = self._run_callable(child, helper.body)
             if stmt.assign:
                 ctx.scope[stmt.assign] = value
@@ -912,10 +866,7 @@ class _Execution:
             if not isinstance(stream, _Stream):
                 raise StreamStateError(f"variable {stmt.stream!r} is not an open stream")
             args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            frames = ctx.frames + (
-                (f"{ctx.service.source_file}:{stmt.line}", ctx.symbol),
-            )
-            value = self.stream_send(ctx, stream, args, frames)
+            value = self.stream_send(ctx, stream, args, ctx.frames_at(stmt.line))
             if stmt.assign:
                 ctx.scope[stmt.assign] = value
         elif isinstance(stmt, CloseStream):
@@ -990,14 +941,18 @@ def _apply_rewrites(
 def propagate_context(metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
     """Decode incoming metadata into the caller-supplied path.
 
-    Absent metadata denotes the top-level entry point (the empty index).
+    Absent metadata denotes the top-level entry point (the empty index). A
+    stream message's metadata marks its last entry preliminary.
     """
     if metadata is None or INDEX_METADATA_KEY not in metadata:
         return EMPTY_INDEX
     try:
-        return indexing.decode(metadata[INDEX_METADATA_KEY])
+        dei = indexing.decode(metadata[INDEX_METADATA_KEY])
     except indexing.DecodeError as exc:
         raise MetadataError(f"undecodable index metadata: {exc}") from exc
+    if metadata.get(PRELIMINARY_METADATA_KEY) == "true" and dei.entries:
+        return _mark_last_preliminary(dei)
+    return dei
 
 
 def _finalize_trace(
@@ -1005,8 +960,6 @@ def _finalize_trace(
     raw_events: list[RpcEvent],
     entry: EntryRequest,
     entry_outcome: dict[str, Any],
-    seed: int,
-    mode: str,
 ) -> ExecutionTrace:
     rewrites = execution.rewrites
 
@@ -1026,8 +979,8 @@ def _finalize_trace(
         events=tuple(events),
         entry_request=entry,
         entry_outcome=entry_outcome,
-        seed=seed,
-        scheduler_mode=mode,
+        seed=execution.seed,
+        scheduler_mode=execution.scheduler.mode,
         config=execution.config,
         warnings=tuple(execution.warnings),
     )
@@ -1111,7 +1064,7 @@ def run_sequence(
             outcome = execution.dispatch_entry(entry)
             sched.drain()
             window = execution.events[start:]
-            traces.append(_finalize_trace(execution, window, entry, outcome, seed, sched.mode))
+            traces.append(_finalize_trace(execution, window, entry, outcome))
     finally:
         sched.close()
     return traces

@@ -117,10 +117,25 @@ class TestGraph:
             ("users", "movies"),
         }
 
-    def test_undecodable_trace_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json\n",
+            '{"kind": "trace_header", "seed": 0}\n',
+            '[1, 2]\n',
+            '{"kind": "trace_header", "entry": {"service": "a", "method": "m", "args": {}}}\n'
+            '{"kind": "invocation", "caller": "a", "callee": "b", "method": "m"}\n',
+            "[" * 100_000 + "]" * 100_000 + "\n",
+        ],
+        ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep"],
+    )
+    def test_undecodable_trace_rejected(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        assert run_cli(["graph", bad]) != 0
+        bad.write_text(text)
+        assert run_cli(["graph", bad]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: line ")
 
 
 class TestNondeterminism:

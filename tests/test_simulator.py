@@ -3,9 +3,12 @@ budgets, and trace invariants."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from dexi.indexing import EMPTY_INDEX, config_from_label, decode, encode
+from dexi import indexing
+from dexi.indexing import DexiError, EMPTY_INDEX, config_from_label, decode, encode
 from dexi.programs import (
     Application,
     Const,
@@ -21,6 +24,7 @@ from dexi.programs import (
     Var,
 )
 from dexi.simulator import (
+    ExecutionTrace,
     FaultPlan,
     FaultSpec,
     MalformedPlanError,
@@ -48,6 +52,23 @@ class TestPropagateContext:
     def test_corrupted_metadata_rejected(self):
         with pytest.raises(MetadataError):
             propagate_context({"x-dexi-index": "garbage"})
+
+    def test_preliminary_marker_restored(self, corpus):
+        entry = corpus["figure-5"]
+        outer = run_execution(entry.app, entry.entry_request).invocation_deis()[0]
+        metadata = {"x-dexi-index": encode(outer), "x-dexi-preliminary": "true"}
+        decoded = propagate_context(metadata)
+        assert decoded == outer
+        assert decoded.last.preliminary
+        assert not propagate_context({"x-dexi-index": encode(outer)}).last.preliminary
+
+
+class TestDigestCollision:
+    def test_distinct_signatures_sharing_a_digest_rejected(self, corpus, monkeypatch):
+        monkeypatch.setattr(indexing, "_digest", lambda data: "0" * indexing.DIGEST_HEX_LEN)
+        entry = corpus["figure-5"]
+        with pytest.raises(DexiError, match="digest collision"):
+            run_execution(entry.app, entry.entry_request)
 
 
 class TestPathAccumulation:
@@ -327,12 +348,27 @@ class TestTraceInvariants:
         trace = run_execution(entry.app, entry.entry_request)
         lines = trace.to_json_lines()
         assert lines[0].startswith('{"')  # header record
-        import json
-
         docs = [json.loads(line) for line in lines[1:]]
         for doc, event in zip(docs, trace.events):
             if event.dei is not None:
                 assert decode(doc["dei"]) == event.dei
+
+    @pytest.mark.parametrize("label", ["full", "no-count"])
+    def test_trace_json_lines_round_trip_with_config(self, corpus, label):
+        entry = corpus["figure-6-stream"]
+        config = config_from_label(label)
+        trace = run_execution(entry.app, entry.entry_request, config=config)
+        loaded = ExecutionTrace.from_json_lines(trace.to_json_lines())
+        assert loaded.to_json_lines() == trace.to_json_lines()
+        assert loaded.config == config
+
+    def test_header_without_config_loads_as_full(self, corpus):
+        entry = corpus["figure-5"]
+        lines = run_execution(entry.app, entry.entry_request).to_json_lines()
+        header = json.loads(lines[0])
+        del header["config"]
+        lines[0] = json.dumps(header)
+        assert ExecutionTrace.from_json_lines(lines).config == indexing.FULL_CONFIG
 
 
 class TestRunSequence:
