@@ -453,6 +453,8 @@ def project(
     `project_assignment` for the trace-order recomputation). Projection only
     merges identifiers, never splits them, and is idempotent.
     """
+    if config.is_full:
+        return dei  # nothing is masked
     entries = dei.entries if config.include_path else dei.entries[-1:]
     return DistributedExecutionIndex(tuple(_project_entry(e, config) for e in entries))
 

@@ -97,6 +97,43 @@ class SearchReport:
     executions: list[ExecutedPlan] = field(default_factory=list)
     pruned: list[PrunedPlan] = field(default_factory=list)
     discovered_deis: set[DistributedExecutionIndex] = field(default_factory=set)
+    # Indexes over `executions` for dynamic reduction, brought up to date by
+    # `_index_executions`.
+    _by_plan_key: dict[frozenset, ExecutedPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _nested_surfaces: dict[tuple, dict[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _indexed: tuple[list[ExecutedPlan] | None, int] = field(
+        default=(None, 0), init=False, repr=False, compare=False
+    )
+
+    def _index_executions(self) -> None:
+        """Index the executions appended since the last call.
+
+        `_by_plan_key` maps a plan key to its (last) execution. For each
+        nested fault point, `_nested_surfaces` keeps the enclosing RPC's
+        surface from the first execution, in history order, that injects the
+        point and whose trace shows a surface. A history that was replaced or
+        shortened since the last call is indexed again from the start.
+        """
+        indexed_list, start = self._indexed
+        if indexed_list is not self.executions or start > len(self.executions):
+            self._by_plan_key.clear()
+            self._nested_surfaces.clear()
+            start = 0
+        for ex in self.executions[start:]:
+            self._by_plan_key[ex.plan.key()] = ex
+            for dei, _ in ex.plan.items():
+                if len(dei) < 2:
+                    continue
+                key = dei.key()
+                if key not in self._nested_surfaces:
+                    surface = _surface_of_enclosing(ex.trace, dei.prefix())
+                    if surface is not None:
+                        self._nested_surfaces[key] = surface
+        self._indexed = (self.executions, len(self.executions))
 
     @property
     def total_executed(self) -> int:
@@ -180,27 +217,22 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
     items = candidate.items()
     if len(items) < 2:
         return ReductionDecision(prune=False)
-    executed = {ex.plan.key(): ex for ex in history.executions}
+    history._index_executions()
     for dei, spec in items:
         if len(dei) < 2:
             continue
-        enclosing = dei.prefix()
-        surface = None
-        for ex in history.executions:
-            if ex.plan.match(dei) is not None:
-                surface = _surface_of_enclosing(ex.trace, enclosing)
-                if surface is not None:
-                    break
+        surface = history._nested_surfaces.get(dei.key())
         if surface is None or "fault" not in surface:
             # The enclosing RPC absorbed the nested failure (or was never
             # observed); its surface cannot match an injected fault, so keep.
             continue
+        enclosing = dei.prefix()
         co_faults = {d: s for d, s in items if d != dei}
         sibling = FaultPlan(
             {**co_faults, enclosing: FaultSpec(surface["fault"])},
             config=history.config,
         )
-        previous = executed.get(sibling.key())
+        previous = history._by_plan_key.get(sibling.key())
         if previous is None:
             continue
         prev_surface = _surface_of_enclosing(previous.trace, enclosing)

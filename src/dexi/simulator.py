@@ -129,6 +129,9 @@ class FaultPlan:
                     "active instantiation"
                 )
             self._by_key[dei.key()] = (dei, spec)
+        self._key = frozenset(
+            (k, spec.fault_type, spec.mode) for k, (_, spec) in self._by_key.items()
+        )
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -145,18 +148,19 @@ class FaultPlan:
 
     def key(self) -> frozenset:
         """Value identity of the plan, for deduplication across executions."""
-        return frozenset((k, spec.fault_type, spec.mode) for k, (_, spec) in self._by_key.items())
+        return self._key
 
 
 EMPTY_PLAN = FaultPlan()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RpcEvent:
     """One recorded step of an execution.
 
     `lineage` is the task path of the recording task (empty for the root);
     two events are causally ordered only when one lineage prefixes the other.
+    Slotted, because a search report keeps every event of every execution.
     """
 
     kind: str  # invocation | fault_injected | completion | stream_opened | index_rewritten
@@ -648,7 +652,7 @@ class _Execution:
         self.scheduler.pre_dispatch()
         dei = self.assign_index(ctx, sig, payload, frames)
         # Plans name final indexes; resolve preliminary stream prefixes first.
-        spec = self.plan.match(_apply_rewrites(dei, self.rewrites))
+        spec = self.plan.match(_apply_rewrites(dei, self.rewrites) if self.rewrites else dei)
         implicit = None
         if stream is not None and spec is None:
             implicit = self._stream_message_index(ctx, stream, dei)
@@ -892,7 +896,9 @@ class _Execution:
         # handed to an executor would; the dispatch frame itself is
         # runtime-internal and is deny-listed out of the digest.
         frames = (("<runtime>/dispatch.py:0", "task_dispatch"),)
-        scope_snapshot = dict(ctx.scope)
+        # The block spawns into, and awaits, its own futures list under
+        # this name, not the parent's.
+        scope_snapshot = {**ctx.scope, stmt.futures: []}
         block_ctx = ctx.child(scope=scope_snapshot, frames=frames, lineage=lineage)
         handle = self.scheduler.spawn(
             lambda: self._run_callable(block_ctx, stmt.body), depth=len(ctx.lineage)
@@ -962,19 +968,14 @@ def _finalize_trace(
     entry_outcome: dict[str, Any],
 ) -> ExecutionTrace:
     rewrites = execution.rewrites
-
-    def fix(dei: DistributedExecutionIndex | None) -> DistributedExecutionIndex | None:
-        if dei is None:
-            return None
-        return _apply_rewrites(dei, rewrites)
-
-    events = []
-    for event in raw_events:
-        if event.kind == "index_rewritten":
-            events.append(event)  # the rewrite log keeps its preliminary side
-            continue
-        fixed = replace(event, dei=fix(event.dei))
-        events.append(fixed)
+    events = list(raw_events)
+    if rewrites:
+        for i, event in enumerate(events):
+            # The rewrite log keeps its preliminary side.
+            if event.kind != "index_rewritten" and event.dei is not None:
+                fixed = _apply_rewrites(event.dei, rewrites)
+                if fixed is not event.dei:
+                    events[i] = replace(event, dei=fixed)
     trace = ExecutionTrace(
         events=tuple(events),
         entry_request=entry,

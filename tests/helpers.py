@@ -1,10 +1,13 @@
-"""Shared fixtures and the independent brute-force search oracle."""
+"""Shared fixtures, the independent brute-force search oracle, and the
+scan-based reference for dynamic reduction."""
 
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Any
 
+from dexi import indexing
 from dexi.indexing import FULL_CONFIG, DistributedExecutionIndex, InstantiationConfig
 from dexi.programs import (
     Application,
@@ -19,7 +22,13 @@ from dexi.programs import (
     Try,
     Var,
 )
-from dexi.search import FaultCatalog
+from dexi.search import (
+    FaultCatalog,
+    ReductionDecision,
+    SearchReport,
+    _plan_json,
+    _surface_of_enclosing,
+)
 from dexi.simulator import ExecutionTrace, FaultPlan, FaultSpec, run_execution
 
 
@@ -86,6 +95,45 @@ def build_figure1() -> tuple[Application, EntryRequest]:
         }
     )
     return app, EntryRequest(service="a", method="front", args={"req": "r1"})
+
+
+def build_nested(mids: int = 2, leaves: int = 2) -> tuple[Application, EntryRequest]:
+    """Three tiers: `front` calls each mid inside try/catch, and each mid
+    calls every leaf without one, so a leaf failure surfaces as its mid's."""
+    front = ServiceProgram(
+        name="front",
+        endpoints={
+            "get": Endpoint(
+                method="get",
+                params=(("req", "String"),),
+                body=tuple(
+                    guarded_rpc(f"mid{i}", 10 + i, "fallback", f"r{i}") for i in range(mids)
+                )
+                + (Return(Concat(tuple(Var(f"r{i}") for i in range(mids)))),),
+            )
+        },
+    )
+    services = {"front": front}
+    for i in range(mids):
+        calls = tuple(
+            Rpc(service=f"leaf{j}", method="get", args=(("req", Var("req")),), line=20 + j,
+                assign=f"x{j}")
+            for j in range(leaves)
+        )
+        services[f"mid{i}"] = ServiceProgram(
+            name=f"mid{i}",
+            endpoints={
+                "get": Endpoint(
+                    method="get",
+                    params=(("req", "String"),),
+                    body=calls + (Return(Concat(tuple(Var(f"x{j}") for j in range(leaves)))),),
+                )
+            },
+        )
+    for j in range(leaves):
+        services[f"leaf{j}"] = leaf_service(f"leaf{j}", f"leaf{j}")
+    app = Application(services=services)
+    return app, EntryRequest(service="front", method="get", args={"req": "r1"})
 
 
 def symbolic(trace: ExecutionTrace, with_payload: bool = False) -> tuple:
@@ -189,3 +237,46 @@ def rpc_site_count(app: Application) -> int:
         if isinstance(stmt, (RpcStmt, OpenStream)):
             sites += 1
     return sites
+
+
+def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionDecision:
+    """Dynamic reduction as first written: for every candidate it rebuilds
+    the plan-key map and scans the whole history for each nested fault
+    point. The search's indexed version must decide exactly as this does."""
+    items = candidate.items()
+    if len(items) < 2:
+        return ReductionDecision(prune=False)
+    executed = {ex.plan.key(): ex for ex in history.executions}
+    for dei, spec in items:
+        if len(dei) < 2:
+            continue
+        enclosing = dei.prefix()
+        surface = None
+        for ex in history.executions:
+            if ex.plan.match(dei) is not None:
+                surface = _surface_of_enclosing(ex.trace, enclosing)
+                if surface is not None:
+                    break
+        if surface is None or "fault" not in surface:
+            continue
+        co_faults = {d: s for d, s in items if d != dei}
+        sibling = FaultPlan(
+            {**co_faults, enclosing: FaultSpec(surface["fault"])},
+            config=history.config,
+        )
+        previous = executed.get(sibling.key())
+        if previous is None:
+            continue
+        prev_surface = _surface_of_enclosing(previous.trace, enclosing)
+        if prev_surface == surface:
+            return ReductionDecision(
+                prune=True,
+                reason=(
+                    "encapsulation: fault on nested RPC "
+                    f"{indexing.encode(dei)} is redundant with executed plan "
+                    f"{_plan_json(previous.plan)} (equivalent surface "
+                    f"{json.dumps(surface, sort_keys=True)} of enclosing RPC "
+                    f"{indexing.encode(enclosing)})"
+                ),
+            )
+    return ReductionDecision(prune=False)

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from dexi.indexing import config_from_label
+from dexi import search
+from dexi.indexing import FULL_CONFIG, config_from_label
 from dexi.programs import Application, Const, Endpoint, EntryRequest, Return, ServiceProgram
 from dexi.search import (
     BudgetExceededError,
     CatalogError,
     FaultCatalog,
+    ReductionDecision,
+    SearchReport,
     completeness_check,
     dynamic_reduction,
     explore,
@@ -18,7 +21,7 @@ from dexi.search import (
 )
 from dexi.simulator import FaultPlan, FaultSpec, run_execution
 
-from helpers import build_figure1, symbolic
+from helpers import build_figure1, build_nested, reference_dynamic_reduction, symbolic
 
 
 class TestExploreCounts:
@@ -269,3 +272,76 @@ class TestGraphReconstruction:
         a = reconstruct_graph(traces).to_json()
         b = reconstruct_graph(list(reversed(traces))).to_json()
         assert a == b
+
+
+def _run_against_reference(monkeypatch, app, entry, config, catalog=None):
+    """Explore with reduction, checking every decision against the
+    scan-based reference on the same history."""
+    indexed = search.dynamic_reduction
+    checked = []
+
+    def both(candidate, history):
+        decision = indexed(candidate, history)
+        assert decision == reference_dynamic_reduction(candidate, history)
+        checked.append(decision)
+        return decision
+
+    monkeypatch.setattr(search, "dynamic_reduction", both)
+    catalog = catalog or FaultCatalog.uniform(app)
+    report = explore(app, entry, catalog, config=config, reduction_enabled=True)
+    assert len(checked) == len(report.executions) + len(report.pruned) - 1
+    return report
+
+
+class TestIndexedReduction:
+    @pytest.mark.parametrize("label", ["full", "filibuster"])
+    def test_matches_reference_on_corpus(self, corpus, monkeypatch, label):
+        for entry in corpus.values():
+            _run_against_reference(
+                monkeypatch, entry.app, entry.entry_request, config_from_label(label)
+            )
+
+    @pytest.mark.parametrize(
+        "faults,counts",
+        [(("connection-error",), (12, 4)), (("connection-error", "timeout"), (33, 16))],
+        ids=["one-fault", "two-faults"],
+    )
+    def test_matches_reference_on_nested_app(self, monkeypatch, faults, counts):
+        # With two fault types per RPC, a nested point is injected with
+        # different faults, so its enclosing RPC shows different surfaces
+        # across the history and the first one must be the one kept.
+        app, entry = build_nested(mids=2, leaves=2)
+        catalog = FaultCatalog(
+            {sig: tuple(FaultSpec(f) for f in faults)
+             for sig in FaultCatalog.uniform(app).signatures()}
+        )
+        report = _run_against_reference(monkeypatch, app, entry, FULL_CONFIG, catalog)
+        assert (report.total_executed, len(report.pruned)) == counts
+
+    def test_history_appended_directly_catches_up(self):
+        app, entry = build_nested(mids=2, leaves=2)
+        explored = explore(app, entry, FaultCatalog.uniform(app), reduction_enabled=True)
+        candidates = [p.plan for p in explored.pruned]
+        manual = SearchReport(config=FULL_CONFIG, reduction_enabled=True)
+        # Decide between appends, so each call indexes only the new tail.
+        for ex in explored.executions:
+            for plan in candidates:
+                assert dynamic_reduction(plan, manual) == reference_dynamic_reduction(plan, manual)
+            manual.executions.append(ex)
+        for pruned in explored.pruned:
+            assert dynamic_reduction(pruned.plan, manual) == ReductionDecision(
+                prune=True, reason=pruned.reason
+            )
+        # A replaced, shorter history is indexed again from the start.
+        manual.executions = [ex for ex in explored.executions if len(ex.plan) < 2]
+        for plan in candidates:
+            assert dynamic_reduction(plan, manual) == reference_dynamic_reduction(plan, manual)
+
+    def test_plan_key_computed_once(self):
+        app, entry = build_figure1()
+        deis = run_execution(app, entry).invocation_deis()
+        plan = FaultPlan({deis[0]: FaultSpec(), deis[1]: FaultSpec("timeout")})
+        assert plan.key() is plan.key()
+        assert plan.key() == frozenset(
+            (dei.key(), spec.fault_type, spec.mode) for dei, spec in plan.items()
+        )

@@ -201,6 +201,35 @@ class TestSchedulers:
                 e.to_json() for e in reference.events
             ]
 
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_nested_spawn_awaits_its_own_futures(self, scheduler):
+        # The inner block spawns into a futures list of the same name; it
+        # must get its own list, not append to the enclosing scope's.
+        inner = Spawn(futures="fs", body=(Return(Const("inner")),), line=2)
+        outer = Spawn(
+            futures="fs",
+            body=(inner, AwaitAll(futures="fs", line=3, assign="xs"), Return(Var("xs"))),
+            line=1,
+        )
+        app = Application(
+            services={
+                "a": ServiceProgram(
+                    name="a",
+                    endpoints={
+                        "go": Endpoint(
+                            method="go",
+                            params=(),
+                            body=(outer, AwaitAll(futures="fs", line=4, assign="rs"),
+                                  Return(Var("rs"))),
+                        )
+                    },
+                )
+            }
+        )
+        entry = EntryRequest(service="a", method="go", args={})
+        trace = run_execution(app, entry, scheduler=scheduler)
+        assert trace.entry_outcome == {"value": [["inner"]]}
+
     def test_unknown_scheduler_rejected(self, corpus):
         entry = corpus["figure-2"]
         from dexi.indexing import DexiError
