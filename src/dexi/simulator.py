@@ -43,7 +43,6 @@ from .indexing import (
     InvocationSignature,
     Signature,
     dei_extend,
-    make_invocation_signature,
     mask_invocation_signature,
 )
 from .programs import (
@@ -78,6 +77,10 @@ from .programs import (
 )
 
 DEFAULT_STEP_BUDGET = 200_000
+
+# Deepest index an RPC may get: bounds nested (and self-) RPC chains well
+# before the interpreter's own recursion limit.
+MAX_INDEX_DEPTH = 32
 
 CONNECTION_ERROR = "connection-error"
 
@@ -440,14 +443,13 @@ def _make_scheduler(mode: str, seed: int, pool_size: int) -> VirtualScheduler | 
 
 
 class _Stream:
-    """A client stream. Its preliminary `base` index carries the caller path,
-    the masked signature and the base count its messages are numbered from."""
+    """A client stream. Its preliminary `base` index (caller path and masked
+    signature) is the counter key its messages are numbered at."""
 
     def __init__(self, callee: str, method: str, base: DistributedExecutionIndex) -> None:
         self.callee = callee
         self.method = method
         self.base = base
-        self.delivered = 0
         self.in_flight = 0
         self.open = True
         self.lock = threading.Lock()
@@ -552,13 +554,13 @@ class _Execution:
 
         A preliminary (stream-open) index pairs the signature with the empty
         payload, because the real payloads are unknown at open time, so it
-        skips the arity check and the ambiguity and collision warnings.
+        skips the ambiguity and collision warnings. Its messages are numbered
+        at its counter key, so it claims that key even when counts are masked.
         """
+        if len(ctx.path) >= MAX_INDEX_DEPTH:
+            raise DexiError(f"RPC to {sig.render()} would nest deeper than {MAX_INDEX_DEPTH} calls")
         stack = CallStackDigest.from_frames(frames, self.stack_policy)
-        if preliminary:
-            inv = InvocationSignature(signature=sig, payload=payload, callstack=stack)
-        else:
-            inv = make_invocation_signature(sig, payload, stack)
+        inv = InvocationSignature(signature=sig, payload=payload, callstack=stack)
         id_path = ctx.path if self.config.include_path else EMPTY_INDEX
         id_inv = mask_invocation_signature(inv, self.config)
         known = self.detail_table.setdefault(id_inv.digest_triple(), id_inv)
@@ -566,14 +568,14 @@ class _Execution:
             raise DexiError(
                 f"digest collision: {known.render()} and {id_inv.render()} share one digest triple"
             )
-        if self.config.include_count:
+        if self.config.include_count or preliminary:
             count, raced = self.counter.claim(id_path, id_inv, ctx.lineage)
             if raced and not preliminary:
                 self.warn(
                     "detected-ambiguity: concurrent RPCs share signature, stack, and "
                     f"payload at {id_inv.render()}; counts may permute across executions"
                 )
-        else:
+        if not self.config.include_count:
             count = 1
         dei = dei_extend(id_path, id_inv, count)
         if preliminary:
@@ -652,10 +654,11 @@ class _Execution:
         self.scheduler.pre_dispatch()
         dei = self.assign_index(ctx, sig, payload, frames)
         # Plans name final indexes; resolve preliminary stream prefixes first.
-        spec = self.plan.match(_apply_rewrites(dei, self.rewrites) if self.rewrites else dei)
+        final = _apply_rewrites(dei, self.rewrites) if self.rewrites else dei
+        spec = self.plan.match(final)
         implicit = None
         if stream is not None and spec is None:
-            implicit = self._stream_message_index(ctx, stream, dei)
+            implicit = self._stream_message_index(ctx, stream, final)
         self.record(
             kind="invocation",
             caller=ctx.service.name,
@@ -708,22 +711,14 @@ class _Execution:
     def _stream_message_index(
         self, ctx: _HandlerCtx, stream: _Stream, final: DistributedExecutionIndex
     ) -> DistributedExecutionIndex:
-        """Number the next delivered message from the stream's base index and
-        queue its rewrite to `final`."""
+        """Number the next message with the next count at the stream's base
+        key and queue its rewrite to `final`, which has no preliminary entry."""
         base_path, base = stream.base.prefix(), stream.base.last
-        # The callee numbers delivered messages from the preliminary base;
-        # claiming the same counter key on the caller side (atomically
-        # with the ordinal) keeps the two views in lockstep and keeps
-        # later streams at this site distinct.
+        # Bases and messages at one key all draw from this counter, so no
+        # two messages share a preliminary index and none equals a final one.
+        # Claim and append are one step: the rewrite log stays in count order.
         with stream.lock:
-            stream.delivered += 1
-            count = base.count + stream.delivered
-            if self.config.include_count:
-                mirrored, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
-                if mirrored != count:
-                    self.warn(
-                        f"stream counter drift between caller and callee at {base.detail.render()}"
-                    )
+            count, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
             implicit = _mark_last_preliminary(dei_extend(base_path, base.detail, count))
             stream.pairs.append((implicit, final))
         with self._lock:
@@ -928,20 +923,14 @@ def _mark_last_preliminary(dei: DistributedExecutionIndex) -> DistributedExecuti
 def _apply_rewrites(
     dei: DistributedExecutionIndex,
     rewrites: Mapping[tuple, DistributedExecutionIndex],
-    max_rounds: int = 64,
 ) -> DistributedExecutionIndex:
-    for _ in range(max_rounds):
-        changed = False
-        for length in range(len(dei), 0, -1):
-            prefix = DistributedExecutionIndex(dei.entries[:length])
-            replacement = rewrites.get(prefix.key())
-            if replacement is not None and replacement.key() != prefix.key():
-                dei = DistributedExecutionIndex(replacement.entries + dei.entries[length:])
-                changed = True
-                break
-        if not changed:
-            return dei
-    raise DexiError("stream rewrite did not converge")
+    """Replace the longest prefix of `dei` that is a queued implicit index by
+    its final index. Finals are stored resolved, so one lookup suffices."""
+    for length in range(len(dei), 0, -1):
+        replacement = rewrites.get(DistributedExecutionIndex(dei.entries[:length]).key())
+        if replacement is not None:
+            return DistributedExecutionIndex(replacement.entries + dei.entries[length:])
+    return dei
 
 
 def propagate_context(metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
@@ -1066,6 +1055,10 @@ def run_sequence(
             sched.drain()
             window = execution.events[start:]
             traces.append(_finalize_trace(execution, window, entry, outcome))
+    except RecursionError:
+        # Without paths an index does not show its depth, so MAX_INDEX_DEPTH
+        # cannot bound the nesting; the interpreter's limit does instead.
+        raise DexiError("RPC nesting exceeded the interpreter's recursion limit") from None
     finally:
         sched.close()
     return traces

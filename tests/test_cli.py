@@ -138,6 +138,53 @@ class TestGraph:
         assert err[0].startswith(f"error: {bad}: line ")
 
 
+def self_rpc_entry(name: str, nested: bool) -> dict:
+    """An endpoint that RPCs itself: directly, or from a spawned block in a
+    loop of a helper called inside a try."""
+    rpc = {"op": "rpc", "service": "a", "method": "go", "args": {}, "line": 9, "assign": "r"}
+    helpers = []
+    if nested:
+        helpers = [{"name": "again", "params": [], "body": [
+            {"op": "loop", "var": "i", "in": {"const": [1]}, "line": 7, "body": [
+                {"op": "spawn", "futures": "fs", "line": 8,
+                 "body": [rpc, {"op": "return", "value": {"var": "r"}}]},
+            ]},
+            {"op": "await_all", "futures": "fs", "line": 11, "assign": "r"},
+            {"op": "return", "value": {"var": "r"}},
+        ]}]
+        rpc = {"op": "try",
+               "body": [{"op": "call", "helper": "again", "args": {}, "line": 3, "assign": "r"}],
+               "catch": [{"op": "assign", "var": "r", "value": {"const": "caught"}}]}
+    body = [rpc, {"op": "return", "value": {"var": "r"}}]
+    return {
+        "name": name,
+        "services": [{"name": "a", "helpers": helpers,
+                      "endpoints": [{"method": "go", "params": [], "body": body}]}],
+        "entry": {"service": "a", "method": "go", "args": {}},
+    }
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    @pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+    @pytest.mark.parametrize(
+        "config,reason",
+        [("full", "would nest deeper than 32 calls"),
+         ("no-path-count-stack", "exceeded the interpreter's recursion limit")],
+        ids=["full", "no-path-count-stack"],
+    )
+    def test_self_rpc_is_one_error_line(self, tmp_path, capsys, scheduler, nested, config, reason):
+        (tmp_path / "self.json").write_text(json.dumps(self_rpc_entry("self-rpc", nested)))
+        status = run_cli(
+            ["explore", "--corpus", tmp_path, "--scheduler", scheduler, "--config", config]
+        )
+        assert status == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: self-rpc: RPC ")
+        assert err[0].endswith(reason)
+
+
 class TestNondeterminism:
     def test_small_run_writes_report(self, tmp_path):
         out = tmp_path / "nd.json"

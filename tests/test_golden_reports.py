@@ -16,8 +16,8 @@ from dexi.cli import main
 from dexi.indexing import CONFIG_LABELS
 
 GOLDEN_SHA256 = {
-    ("3milebeach", False): "cc58976fa4b45fc8a5a24bfdebeb81fc7a6b7b04e1a6a688a32220f97ae05945",
-    ("3milebeach", True): "ac70423c4a0bce4a898fd6fd099ef74caa518ea36e2021cddce8913cb11bac3b",
+    ("3milebeach", False): "4bba7abb94b519b0fad5e827b8ce7e16709d009c634d27f448290144d45fced9",
+    ("3milebeach", True): "23b4e758b2175f9616bad45301d473a1ab391f707121c0dd5f2bdb6f7dd30864",
     ("filibuster", False): "81c47ddfda9eeeafa3f94d06d3217f4f0edd348b5b033d060853a9c818b2bd2a",
     ("filibuster", True): "d14cf86193a5b75b4a952a04ba9d4862bab344acb00b205ce8d20be27519f71d",
     ("full", False): "ecf90d54fb56053a77174e3b4c8a8e4c0a7c0c7b5a8514307a303cd1ff6acf74",

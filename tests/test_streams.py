@@ -1,11 +1,12 @@
-"""Streaming RPCs: preliminary indexes, implicit callee numbering, and the
-rewrite to final indexes before a trace is finalized."""
+"""Streaming RPCs: preliminary indexes numbered from the execution's counter
+at the stream's base key, and the rewrite to final indexes before a trace is
+finalized."""
 
 from __future__ import annotations
 
 import pytest
 
-from dexi.indexing import EMPTY_PAYLOAD
+from dexi.indexing import CONFIG_LABELS, EMPTY_PAYLOAD
 from dexi.programs import (
     Application,
     AwaitAll,
@@ -22,7 +23,9 @@ from dexi.programs import (
     StreamSend,
     Var,
 )
+from dexi.search import FaultCatalog, completeness_check, explore
 from dexi.simulator import FaultPlan, FaultSpec, StreamStateError, run_execution
+from helpers import brute_force_execution_set, explore_execution_keys
 
 
 def stream_events(trace, kind):
@@ -77,6 +80,15 @@ class TestFigure6:
                     continue
                 if event.dei is not None:
                     assert not event.dei.has_preliminary()
+
+    @pytest.mark.parametrize("label", sorted(CONFIG_LABELS))
+    def test_implicit_index_differs_from_final(self, corpus, label):
+        entry = corpus["figure-6-stream"]
+        trace = run_execution(entry.app, entry.entry_request, config=CONFIG_LABELS[label])
+        rewrites = stream_events(trace, "index_rewritten")
+        assert len(rewrites) == 2
+        for event in rewrites:
+            assert event.preliminary_dei.key() != event.dei.key()
 
     def test_multisets_deterministic_across_seeds(self, corpus):
         entry = corpus["figure-6-stream"]
@@ -202,6 +214,118 @@ class TestNestedStreamRewrite:
         injected = [e for e in trace.events if e.kind == "fault_injected"]
         assert len(injected) == 1
         assert injected[0].callee == "c"
+
+
+def _service(name: str, method: str, params: tuple, body: tuple) -> ServiceProgram:
+    return ServiceProgram(
+        name=name, endpoints={method: Endpoint(method=method, params=params, body=body)}
+    )
+
+
+def _decorator(name: str) -> ServiceProgram:
+    return _service(
+        name, "decorate", (("s", "String"),), (Return(Concat((Const("*"), Var("s"), Const("*")))),)
+    )
+
+
+def build_overlapping_streams_app() -> tuple[Application, EntryRequest]:
+    """a opens two streams to b at one site and interleaves their messages
+    (s1, s2, s1, s2); b's handler calls c with the message payload."""
+    a_body = (
+        OpenStream(service="b", method="handle", line=3, assign="s1"),
+        OpenStream(service="b", method="handle", line=3, assign="s2"),
+        StreamSend(stream="s1", args=(("s", Const("m1")),), line=5),
+        StreamSend(stream="s2", args=(("s", Const("n1")),), line=5),
+        StreamSend(stream="s1", args=(("s", Const("m2")),), line=5),
+        StreamSend(stream="s2", args=(("s", Const("n2")),), line=5),
+        CloseStream(stream="s1"),
+        CloseStream(stream="s2"),
+        Return(Const("done")),
+    )
+    b_body = (
+        Rpc(service="c", method="decorate", args=(("s", Var("s")),), line=21, assign="d"),
+        Return(Var("d")),
+    )
+    app = Application(
+        services={
+            "a": _service("a", "go", (), a_body),
+            "b": _service("b", "handle", (("s", "String"),), b_body),
+            "c": _decorator("c"),
+        }
+    )
+    return app, EntryRequest(service="a", method="go", args={})
+
+
+def build_stream_chain_app() -> tuple[Application, EntryRequest]:
+    """a streams two messages to b; each b handler streams its message to c,
+    and c's handler calls d."""
+    a_body = (
+        OpenStream(service="b", method="handle", line=3, assign="st"),
+        StreamSend(stream="st", args=(("s", Const("Hello")),), line=5, assign="r1"),
+        StreamSend(stream="st", args=(("s", Const("World")),), line=6, assign="r2"),
+        CloseStream(stream="st"),
+        Return(Concat((Var("r1"), Const(" "), Var("r2")))),
+    )
+    b_body = (
+        OpenStream(service="c", method="handle", line=13, assign="st"),
+        StreamSend(stream="st", args=(("s", Var("s")),), line=15, assign="r"),
+        CloseStream(stream="st"),
+        Return(Var("r")),
+    )
+    c_body = (
+        Rpc(service="d", method="decorate", args=(("s", Var("s")),), line=21, assign="r"),
+        Return(Var("r")),
+    )
+    app = Application(
+        services={
+            "a": _service("a", "go", (), a_body),
+            "b": _service("b", "handle", (("s", "String"),), b_body),
+            "c": _service("c", "handle", (("s", "String"),), c_body),
+            "d": _decorator("d"),
+        }
+    )
+    return app, EntryRequest(service="a", method="go", args={})
+
+
+def assert_matches_oracle(app, entry, executions, config, scheduler):
+    catalog = FaultCatalog.uniform(app)
+    report = explore(app, entry, catalog, config=config, scheduler=scheduler)
+    oracle = brute_force_execution_set(app, entry, catalog, config=config)
+    assert explore_execution_keys(report) == set(oracle)
+    assert len(oracle) == executions
+    assert completeness_check(report, catalog) == []
+
+
+class TestOverlappingStreamsSameSite:
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_downstream_prefix_is_its_own_message(self, scheduler):
+        app, entry = build_overlapping_streams_app()
+        trace = run_execution(app, entry, scheduler=scheduler)
+        downstream = [e for e in trace.invocation_events() if e.callee == "c"]
+        assert len(downstream) == 4
+        for event in downstream:
+            assert event.dei.prefix().last.detail.payload.values == (dict(event.payload)["s"],)
+        virtual = run_execution(app, entry)
+        assert trace.dei_multiset() == virtual.dei_multiset()
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    @pytest.mark.parametrize("label", sorted(CONFIG_LABELS))
+    def test_explore_matches_oracle(self, label, scheduler):
+        app, entry = build_overlapping_streams_app()
+        assert_matches_oracle(app, entry, 9, CONFIG_LABELS[label], scheduler)
+
+
+class TestStreamChain:
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    @pytest.mark.parametrize("label", sorted(CONFIG_LABELS))
+    def test_runs_and_matches_oracle(self, label, scheduler):
+        app, entry = build_stream_chain_app()
+        config = CONFIG_LABELS[label]
+        trace = run_execution(app, entry, config=config, scheduler=scheduler)
+        assert trace.entry_outcome == {"value": "*Hello* *World*"}
+        for event in stream_events(trace, "index_rewritten"):
+            assert not event.dei.has_preliminary()
+        assert_matches_oracle(app, entry, 7, config, scheduler)
 
 
 class TestStreamErrors:
