@@ -74,23 +74,23 @@ class Signature:
     """Static identity of an RPC target: module, method, and parameter list.
 
     Parameter order is significant; two signatures are equal only when all
-    three components match exactly.
+    three components match exactly. The digest is computed once, on
+    construction, as are those of payloads and call stacks.
     """
 
     module_name: str
     method_name: str
     parameters: tuple[tuple[str, str], ...] = ()
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.module_name or not self.method_name:
             raise DexiError("signature requires a module name and a method name")
-        object.__setattr__(self, "parameters", tuple((str(n), str(t)) for n, t in self.parameters))
-
-    @property
-    def digest(self) -> str:
-        return _digest(
-            canonical_bytes([self.module_name, self.method_name, list(self.parameters)])
-        )
+        params = tuple((str(n), str(t)) for n, t in self.parameters)
+        object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "digest", _digest(
+            canonical_bytes([self.module_name, self.method_name, list(params)])
+        ))
 
     def render(self) -> str:
         params = ",".join(f"{n}:{t}" for n, t in self.parameters)
@@ -107,6 +107,12 @@ class InvocationPayload:
 
     arguments: tuple[tuple[str, bytes], ...] = ()
     values: tuple[Any, ...] = field(default=(), compare=False)
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", _digest(
+            b"\x1f".join(name.encode() + b"\x1e" + blob for name, blob in self.arguments)
+        ))
 
     @classmethod
     def from_mapping(cls, signature: Signature, args: Mapping[str, Any]) -> InvocationPayload:
@@ -119,10 +125,6 @@ class InvocationPayload:
             )
         pairs = tuple((name, canonical_bytes(args[name])) for name in names)
         return cls(arguments=pairs, values=tuple(args[name] for name in names))
-
-    @property
-    def digest(self) -> str:
-        return _digest(b"\x1f".join(name.encode() + b"\x1e" + blob for name, blob in self.arguments))
 
     def render(self) -> str:
         if not self.arguments:
@@ -158,6 +160,10 @@ class CallStackDigest:
     """Filtered call-stack frames plus their fixed-width digest."""
 
     frames: tuple[tuple[str, str], ...] = ()
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", _digest(canonical_bytes(list(self.frames))))
 
     @classmethod
     def from_frames(
@@ -167,10 +173,6 @@ class CallStackDigest:
     ) -> CallStackDigest:
         kept = tuple((loc, sym) for loc, sym in frames if policy.keep(loc))
         return cls(frames=kept)
-
-    @property
-    def digest(self) -> str:
-        return _digest(canonical_bytes(list(self.frames)))
 
     def render(self) -> str:
         return ",".join(loc.rsplit(":", 1)[-1] for loc, _ in self.frames)
@@ -232,9 +234,6 @@ class IndexEntry:
         if self.count < 1:
             raise InvalidCountError(f"invocation count must be >= 1, got {self.count}")
 
-    def digest_key(self) -> tuple[str, str, str]:
-        return (self.signature_digest, self.payload_digest, self.callstack_digest)
-
     def render(self) -> str:
         if self.detail is not None:
             return f"{self.detail.render()}|{self.count}"
@@ -246,7 +245,8 @@ class DistributedExecutionIndex:
     """Sequence of counted invocation signatures identifying one dynamic RPC.
 
     The empty sequence denotes the top-level entry point; every prefix of a
-    valid index is itself a valid index.
+    valid index is itself a valid index. An index is its own key: equality
+    and hashing compare the entries' digests and counts only.
     """
 
     entries: tuple[IndexEntry, ...] = ()
@@ -268,9 +268,6 @@ class DistributedExecutionIndex:
         if not self.entries:
             raise DexiError("empty index has no enclosing prefix")
         return DistributedExecutionIndex(self.entries[:-1])
-
-    def key(self) -> tuple[tuple[str, str, str, int], ...]:
-        return tuple((*e.digest_key(), e.count) for e in self.entries)
 
     def has_preliminary(self) -> bool:
         return any(e.preliminary for e in self.entries)
@@ -345,10 +342,6 @@ class CounterState:
         self._counts: dict[tuple, int] = {}
         self._claimants: dict[tuple, tuple[int, ...]] = {}
 
-    @staticmethod
-    def _key(path: DistributedExecutionIndex, inv_sig: InvocationSignature) -> tuple:
-        return (path.key(), inv_sig.digest_triple())
-
     def claim(
         self,
         path: DistributedExecutionIndex,
@@ -362,7 +355,7 @@ class CounterState:
         such counts disambiguate within this execution but may permute across
         executions.
         """
-        key = self._key(path, inv_sig)
+        key = (path, inv_sig.digest_triple())
         with self._lock:
             count = self._counts.get(key, 0) + 1
             self._counts[key] = count
@@ -471,14 +464,14 @@ def project_assignment(
     observed earlier, which holds for assignment-ordered traces.
     """
     state = CounterState()
-    mapped: dict[tuple, DistributedExecutionIndex] = {EMPTY_INDEX.key(): EMPTY_INDEX}
+    mapped = {EMPTY_INDEX: EMPTY_INDEX}
     out: list[DistributedExecutionIndex] = []
     for dei in deis:
         if not dei:
             out.append(dei)
             continue
         try:
-            base = mapped[dei.prefix().key()]
+            base = mapped[dei.prefix()]
         except KeyError:
             raise DexiError(
                 f"prefix of {dei.render()} was not observed before it; "
@@ -494,7 +487,7 @@ def project_assignment(
         else:
             count = 1
         projected = dei_extend(base, entry.detail, count)
-        mapped[dei.key()] = projected
+        mapped[dei] = projected
         out.append(projected)
     return out
 

@@ -102,7 +102,7 @@ class SearchReport:
     _by_plan_key: dict[frozenset, ExecutedPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _nested_surfaces: dict[tuple, dict[str, Any]] = field(
+    _nested_surfaces: dict[tuple[DistributedExecutionIndex, str], dict[str, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _indexed: tuple[list[ExecutedPlan] | None, int] = field(
@@ -113,9 +113,9 @@ class SearchReport:
         """Index the executions appended since the last call.
 
         `_by_plan_key` maps a plan key to its (last) execution. For each
-        nested fault point, `_nested_surfaces` keeps the enclosing RPC's
-        surface from the first execution, in history order, that injects the
-        point and whose trace shows a surface. A history that was replaced or
+        nested fault point and fault type, `_nested_surfaces` keeps the
+        enclosing RPC's surface from the first execution, in history order,
+        that injects that fault there and whose trace shows a surface. A history that was replaced or
         shortened since the last call is indexed again from the start.
         """
         indexed_list, start = self._indexed
@@ -125,10 +125,10 @@ class SearchReport:
             start = 0
         for ex in self.executions[start:]:
             self._by_plan_key[ex.plan.key()] = ex
-            for dei, _ in ex.plan.items():
+            for dei, spec in ex.plan.items():
                 if len(dei) < 2:
                     continue
-                key = dei.key()
+                key = (dei, spec.fault_type)
                 if key not in self._nested_surfaces:
                     surface = _surface_of_enclosing(ex.trace, dei.prefix())
                     if surface is not None:
@@ -208,9 +208,10 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
 
     A candidate that faults an RPC r nested under an enclosing RPC r' is
     pruned when an already-executed plan combines the candidate's other
-    faults with a fault on r' whose observed surface equals the surface r's
-    failure gave r' in an earlier trace: everything above r' saw the same
-    inputs in that execution, so re-running it cannot observe anything new.
+    faults with a fault on r' whose observed surface equals the surface the
+    same fault on r gave r' in an earlier trace: everything above r' saw the
+    same inputs in that execution, so re-running it cannot observe anything
+    new.
     Single-fault plans are never pruned, and when the surfaces cannot be
     matched up from history the candidate is kept.
     """
@@ -221,7 +222,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
     for dei, spec in items:
         if len(dei) < 2:
             continue
-        surface = history._nested_surfaces.get(dei.key())
+        surface = history._nested_surfaces.get((dei, spec.fault_type))
         if surface is None or "fault" not in surface:
             # The enclosing RPC absorbed the nested failure (or was never
             # observed); its surface cannot match an injected fault, so keep.
@@ -342,15 +343,15 @@ def completeness_check(
     report's coarser identifier space cannot target individually.
     """
     violations: list[Violation] = []
-    injected: set[tuple[tuple, str]] = set()
+    injected: set[tuple[DistributedExecutionIndex, str]] = set()
     for ex in report.executions:
         for event in ex.trace.events:
             if event.kind == "fault_injected" and event.dei is not None and event.outcome:
-                injected.add((event.dei.key(), event.outcome["fault"]))
-    pruned_points: set[tuple[tuple, str]] = set()
+                injected.add((event.dei, event.outcome["fault"]))
+    pruned_points: set[tuple[DistributedExecutionIndex, str]] = set()
     for pruned in report.pruned:
         for dei, spec in pruned.plan.items():
-            pruned_points.add((dei.key(), spec.fault_type))
+            pruned_points.add((dei, spec.fault_type))
     for dei in report.discovered_deis:
         try:
             faults = catalog.faults_for_digest(dei.last.signature_digest)
@@ -358,7 +359,7 @@ def completeness_check(
             violations.append(Violation(kind="catalog-gap", detail=str(exc)))
             continue
         for spec in faults:
-            point = (dei.key(), spec.fault_type)
+            point = (dei, spec.fault_type)
             if point not in injected and point not in pruned_points:
                 violations.append(
                     Violation(
@@ -379,9 +380,9 @@ def completeness_check(
                     )
                 )
     if reference_deis is not None:
-        groups: dict[tuple, list[DistributedExecutionIndex]] = {}
+        groups: dict[DistributedExecutionIndex, list[DistributedExecutionIndex]] = {}
         for dei in reference_deis:
-            groups.setdefault(project(dei, report.config).key(), []).append(dei)
+            groups.setdefault(project(dei, report.config), []).append(dei)
         for members in groups.values():
             if len(members) > 1:
                 rendered = ", ".join(sorted(indexing.encode(m) for m in members))
@@ -430,7 +431,7 @@ def reconstruct_graph(traces: Iterable[ExecutionTrace]) -> ApplicationGraph:
     strict prefix; indexes with an empty prefix were issued by the handler
     the entry harness called.
     """
-    target_of: dict[tuple, str] = {}
+    target_of: dict[DistributedExecutionIndex, str] = {}
     observations: list[tuple[DistributedExecutionIndex, str]] = []
     nodes: set[str] = set()
     for trace in traces:
@@ -438,7 +439,7 @@ def reconstruct_graph(traces: Iterable[ExecutionTrace]) -> ApplicationGraph:
         for event in trace.invocation_events():
             if event.dei is None:
                 continue
-            target_of[event.dei.key()] = event.callee
+            target_of[event.dei] = event.callee
             observations.append((event.dei, trace.entry_request.service))
             nodes.add(event.callee)
     edges: dict[tuple[str, str], set[str]] = {}
@@ -447,8 +448,8 @@ def reconstruct_graph(traces: Iterable[ExecutionTrace]) -> ApplicationGraph:
         if len(prefix) == 0:
             source = entry_service
         else:
-            source = target_of.get(prefix.key(), entry_service)
-        target = target_of[dei.key()]
+            source = target_of.get(prefix, entry_service)
+        target = target_of[dei]
         edges.setdefault((source, target), set()).add(indexing.encode(dei))
     return ApplicationGraph(
         nodes=tuple(sorted(nodes)),

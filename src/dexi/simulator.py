@@ -3,8 +3,8 @@
 Runs declarative applications on a synthetic RPC layer: every invocation gets
 a distributed execution index (under the active instantiation), the index
 travels with the request as encoded metadata, faults from a plan are raised at
-the caller's call site, and streaming RPCs receive preliminary indexes that
-are rewritten to their final form before the trace is surrendered.
+the caller's call site, and stream messages travel with preliminary indexes
+that are resolved to their final form as each RPC is recorded.
 
 Two scheduling modes are provided. The virtual scheduler runs concurrent
 blocks in a seeded order, giving reproducible traces; the thread scheduler
@@ -20,7 +20,7 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -29,9 +29,7 @@ from .indexing import (
     INDEX_METADATA_KEY,
     PRELIMINARY_METADATA_KEY,
     CallStackDigest,
-    CallStackPolicy,
     CounterState,
-    DEFAULT_STACK_POLICY,
     DexiError,
     DistributedExecutionIndex,
     EMPTY_INDEX,
@@ -124,30 +122,28 @@ class FaultPlan:
         *,
         config: InstantiationConfig = FULL_CONFIG,
     ) -> None:
-        self._by_key: dict[tuple, tuple[DistributedExecutionIndex, FaultSpec]] = {}
-        for dei, spec in (injections or {}).items():
+        self._faults = dict(injections or {})
+        for dei in self._faults:
             if indexing.project(dei, config) != dei:
                 raise MalformedPlanError(
                     f"plan key {dei.render()} is not in the identifier space of the "
                     "active instantiation"
                 )
-            self._by_key[dei.key()] = (dei, spec)
         self._key = frozenset(
-            (k, spec.fault_type, spec.mode) for k, (_, spec) in self._by_key.items()
+            (dei, spec.fault_type, spec.mode) for dei, spec in self._faults.items()
         )
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._faults)
 
     def __contains__(self, dei: DistributedExecutionIndex) -> bool:
-        return dei.key() in self._by_key
+        return dei in self._faults
 
     def match(self, dei: DistributedExecutionIndex) -> FaultSpec | None:
-        hit = self._by_key.get(dei.key())
-        return hit[1] if hit else None
+        return self._faults.get(dei)
 
     def items(self) -> list[tuple[DistributedExecutionIndex, FaultSpec]]:
-        return list(self._by_key.values())
+        return list(self._faults.items())
 
     def key(self) -> frozenset:
         """Value identity of the plan, for deduplication across executions."""
@@ -332,55 +328,55 @@ class _ReturnSignal(Exception):
 
 
 class _TaskHandle:
+    """A spawned block. It runs once, when it is first awaited; a block that
+    is never awaited never runs."""
+
     def __init__(self, runner: Callable[[], Any]) -> None:
         self.runner = runner
-        self.future: Future | None = None  # set when submitted to a worker
         self.done = False
         self.value: Any = None
         self.error: Exception | None = None
+        self._lock = threading.RLock()
 
     def finish(self) -> None:
-        # Drop the runner first: its closure reaches this handle through the
-        # spawning scope, and the cycle would outlive the execution.
-        runner, self.runner = self.runner, None
-        try:
-            self.value = runner()
-        except Exception as exc:  # surfaced at await_all, in creation order
-            self.error = exc
-        self.done = True
+        # A top-level block can be awaited by its spawner's and a sibling
+        # block's threads at once: the second waits here for the first run.
+        with self._lock:
+            # Drop the runner first: its closure reaches this handle through
+            # the spawning scope, and the cycle would outlive the execution.
+            runner, self.runner = self.runner, None
+            if runner is None:  # finished, or awaited from inside its own run
+                return
+            try:
+                self.value = runner()
+            except Exception as exc:  # surfaced at await_all, in creation order
+                self.error = exc
+            self.done = True
 
 
 class VirtualScheduler:
-    """Seeded cooperative scheduler: concurrent blocks run in shuffled order."""
+    """Seeded cooperative scheduler: awaited blocks run in shuffled order."""
 
     mode = "virtual"
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._pending: set[_TaskHandle] = set()
-
-    def spawn(self, runner: Callable[[], Any], depth: int) -> _TaskHandle:
-        handle = _TaskHandle(runner)
-        self._pending.add(handle)
-        return handle
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         waiting = [h for h in handles if not h.done]
         self._rng.shuffle(waiting)
         for handle in waiting:
-            if handle in self._pending:
-                self._pending.remove(handle)
-                handle.finish()
+            handle.finish()
 
     def pre_dispatch(self) -> None:
         pass
 
-    def drain(self) -> None:
-        # Blocks that were spawned but never awaited are treated as cancelled.
-        self._pending.clear()
-
     def close(self) -> None:
-        self._pending.clear()
+        pass
+
+
+# Upper bound of the random delay before each RPC under the thread scheduler.
+DISPATCH_JITTER_SECONDS = 100e-6
 
 
 class ThreadScheduler:
@@ -388,43 +384,31 @@ class ThreadScheduler:
 
     The jitter models the transport latency variance a live RPC stack sees;
     it is what makes arrival order genuinely racy even for tiny in-process
-    handlers. Nested concurrent blocks run inline on their parent's worker so
-    a small pool can never deadlock on itself.
+    handlers. Blocks the entry handler awaits run together on the pool; a
+    block awaited by another block runs inline on that block's worker, so a
+    small pool can never deadlock on itself.
     """
 
     mode = "threads"
 
-    def __init__(self, pool_size: int = 2, jitter_seconds: float = 100e-6) -> None:
+    def __init__(self, pool_size: int = 2) -> None:
         if pool_size < 1:
             raise DexiError("pool size must be >= 1")
         self._executor = ThreadPoolExecutor(max_workers=pool_size)
-        self._jitter = jitter_seconds
         self._rng = random.SystemRandom()
-        self._futures: list[Future] = []
-
-    def spawn(self, runner: Callable[[], Any], depth: int) -> _TaskHandle:
-        handle = _TaskHandle(runner)
-        # Nested blocks run inline on the parent's worker at await time.
-        if depth == 0:
-            handle.future = self._executor.submit(handle.finish)
-            self._futures.append(handle.future)
-        return handle
+        self._entry_thread = threading.get_ident()
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
-        for handle in handles:
-            if handle.future is not None:
-                handle.future.result()
-            elif not handle.done:
+        waiting = [h for h in handles if not h.done]
+        if threading.get_ident() == self._entry_thread:
+            for future in [self._executor.submit(h.finish) for h in waiting]:
+                future.result()
+        else:
+            for handle in waiting:
                 handle.finish()
 
     def pre_dispatch(self) -> None:
-        if self._jitter > 0:
-            time.sleep(self._rng.uniform(0.0, self._jitter))
-
-    def drain(self) -> None:
-        for future in self._futures:
-            future.result()
-        self._futures.clear()
+        time.sleep(self._rng.uniform(0.0, DISPATCH_JITTER_SECONDS))
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -500,7 +484,6 @@ class _Execution:
         scheduler,
         seed: int,
         budget: int,
-        stack_policy: CallStackPolicy,
     ) -> None:
         self.app = app
         self.plan = plan
@@ -508,13 +491,12 @@ class _Execution:
         self.scheduler = scheduler
         self.seed = seed
         self.budget = budget
-        self.stack_policy = stack_policy
         self.counter = CounterState()
         self.events: list[RpcEvent] = []
         self.warnings: list[str] = []
-        self.rewrites: dict[tuple, DistributedExecutionIndex] = {}
+        self.rewrites: dict[DistributedExecutionIndex, DistributedExecutionIndex] = {}
         self.detail_table: dict[tuple[str, str, str], InvocationSignature] = {}
-        self.assigned: set[tuple] = set()
+        self.assigned: set[DistributedExecutionIndex] = set()
         self._lock = threading.Lock()
         self._seq = itertools.count()
         self._steps = 0
@@ -559,7 +541,7 @@ class _Execution:
         """
         if len(ctx.path) >= MAX_INDEX_DEPTH:
             raise DexiError(f"RPC to {sig.render()} would nest deeper than {MAX_INDEX_DEPTH} calls")
-        stack = CallStackDigest.from_frames(frames, self.stack_policy)
+        stack = CallStackDigest.from_frames(frames)
         inv = InvocationSignature(signature=sig, payload=payload, callstack=stack)
         id_path = ctx.path if self.config.include_path else EMPTY_INDEX
         id_inv = mask_invocation_signature(inv, self.config)
@@ -581,9 +563,8 @@ class _Execution:
         if preliminary:
             return _mark_last_preliminary(dei)
         with self._lock:
-            key = dei.key()
-            collided = key in self.assigned
-            self.assigned.add(key)
+            collided = dei in self.assigned
+            self.assigned.add(dei)
         if collided:
             self.warn(
                 f"identifier collision under the active instantiation: {dei.render()}"
@@ -616,7 +597,8 @@ class _Execution:
             table = self.detail_table
             path = DistributedExecutionIndex(tuple(
                 IndexEntry(e.signature_digest, e.payload_digest, e.callstack_digest, e.count,
-                           table.get(e.digest_key()), e.preliminary)
+                           table.get((e.signature_digest, e.payload_digest, e.callstack_digest)),
+                           e.preliminary)
                 for e in path.entries
             ))
         scope = {name: args[name] for name, _ in endpoint.params}
@@ -653,7 +635,7 @@ class _Execution:
         payload = InvocationPayload.from_mapping(sig, args)
         self.scheduler.pre_dispatch()
         dei = self.assign_index(ctx, sig, payload, frames)
-        # Plans name final indexes; resolve preliminary stream prefixes first.
+        # Plans and events name final indexes; the callee still gets `dei`.
         final = _apply_rewrites(dei, self.rewrites) if self.rewrites else dei
         spec = self.plan.match(final)
         implicit = None
@@ -664,7 +646,7 @@ class _Execution:
             caller=ctx.service.name,
             callee=callee,
             method=method,
-            dei=dei,
+            dei=final,
             preliminary_dei=implicit,
             payload=tuple((name, args[name]) for name, _ in sig.parameters),
             lineage=ctx.lineage,
@@ -675,7 +657,7 @@ class _Execution:
                 caller=ctx.service.name,
                 callee=callee,
                 method=method,
-                dei=dei,
+                dei=final,
                 outcome=spec.descriptor(),
                 lineage=ctx.lineage,
             )
@@ -696,7 +678,7 @@ class _Execution:
             caller=ctx.service.name,
             callee=callee,
             method=method,
-            dei=dei,
+            dei=final,
             outcome=outcome,
             lineage=ctx.lineage,
         )
@@ -722,7 +704,7 @@ class _Execution:
             implicit = _mark_last_preliminary(dei_extend(base_path, base.detail, count))
             stream.pairs.append((implicit, final))
         with self._lock:
-            self.rewrites[implicit.key()] = final
+            self.rewrites[implicit] = final
         return implicit
 
     def open_stream(self, ctx: _HandlerCtx, stmt: OpenStream) -> _Stream:
@@ -895,10 +877,7 @@ class _Execution:
         # this name, not the parent's.
         scope_snapshot = {**ctx.scope, stmt.futures: []}
         block_ctx = ctx.child(scope=scope_snapshot, frames=frames, lineage=lineage)
-        handle = self.scheduler.spawn(
-            lambda: self._run_callable(block_ctx, stmt.body), depth=len(ctx.lineage)
-        )
-        handles.append(handle)
+        handles.append(_TaskHandle(lambda: self._run_callable(block_ctx, stmt.body)))
 
     def _exec_await(self, ctx: _HandlerCtx, stmt: AwaitAll) -> None:
         handles = ctx.scope.get(stmt.futures, [])
@@ -922,12 +901,12 @@ def _mark_last_preliminary(dei: DistributedExecutionIndex) -> DistributedExecuti
 
 def _apply_rewrites(
     dei: DistributedExecutionIndex,
-    rewrites: Mapping[tuple, DistributedExecutionIndex],
+    rewrites: Mapping[DistributedExecutionIndex, DistributedExecutionIndex],
 ) -> DistributedExecutionIndex:
     """Replace the longest prefix of `dei` that is a queued implicit index by
     its final index. Finals are stored resolved, so one lookup suffices."""
     for length in range(len(dei), 0, -1):
-        replacement = rewrites.get(DistributedExecutionIndex(dei.entries[:length]).key())
+        replacement = rewrites.get(DistributedExecutionIndex(dei.entries[:length]))
         if replacement is not None:
             return DistributedExecutionIndex(replacement.entries + dei.entries[length:])
     return dei
@@ -952,19 +931,10 @@ def propagate_context(metadata: Mapping[str, str] | None) -> DistributedExecutio
 
 def _finalize_trace(
     execution: _Execution,
-    raw_events: list[RpcEvent],
+    events: list[RpcEvent],
     entry: EntryRequest,
     entry_outcome: dict[str, Any],
 ) -> ExecutionTrace:
-    rewrites = execution.rewrites
-    events = list(raw_events)
-    if rewrites:
-        for i, event in enumerate(events):
-            # The rewrite log keeps its preliminary side.
-            if event.kind != "index_rewritten" and event.dei is not None:
-                fixed = _apply_rewrites(event.dei, rewrites)
-                if fixed is not event.dei:
-                    events[i] = replace(event, dei=fixed)
     trace = ExecutionTrace(
         events=tuple(events),
         entry_request=entry,
@@ -981,12 +951,11 @@ def _finalize_trace(
                     f"preliminary index survived finalization: {event.dei.render()}"
                 )
     if execution.config.is_full:
-        seen: set[tuple] = set()
+        seen: set[DistributedExecutionIndex] = set()
         for dei in trace.invocation_deis():
-            key = dei.key()
-            if key in seen:
+            if dei in seen:
                 raise DexiError(f"duplicate full index within one trace: {dei.render()}")
-            seen.add(key)
+            seen.add(dei)
     return trace
 
 
@@ -1000,14 +969,13 @@ def run_execution(
     scheduler: str = "virtual",
     pool_size: int = 2,
     budget: int = DEFAULT_STEP_BUDGET,
-    stack_policy: CallStackPolicy = DEFAULT_STACK_POLICY,
 ) -> ExecutionTrace:
     """Execute one entry request against the application and finalize the trace.
 
     At each RPC the callee path is the caller's received index, the count
     comes from the shared per-execution counter, and the fault plan is
-    consulted before delivery. The returned trace has every preliminary stream
-    index rewritten to its final form.
+    consulted before delivery. Every RPC is recorded under its final index:
+    preliminary stream prefixes are resolved when the RPC is recorded.
     """
     traces = run_sequence(
         app,
@@ -1018,7 +986,6 @@ def run_execution(
         scheduler=scheduler,
         pool_size=pool_size,
         budget=budget,
-        stack_policy=stack_policy,
     )
     return traces[0]
 
@@ -1033,7 +1000,6 @@ def run_sequence(
     scheduler: str = "virtual",
     pool_size: int = 2,
     budget: int = DEFAULT_STEP_BUDGET,
-    stack_policy: CallStackPolicy = DEFAULT_STACK_POLICY,
 ) -> list[ExecutionTrace]:
     """Run several entry requests sharing one counter state (one functional test)."""
     plan = plan if plan is not None else EMPTY_PLAN
@@ -1045,14 +1011,12 @@ def run_sequence(
         scheduler=sched,
         seed=seed,
         budget=budget,
-        stack_policy=stack_policy,
     )
     traces = []
     try:
         for entry in entries:
             start = len(execution.events)
             outcome = execution.dispatch_entry(entry)
-            sched.drain()
             window = execution.events[start:]
             traces.append(_finalize_trace(execution, window, entry, outcome))
     except RecursionError:

@@ -139,8 +139,8 @@ def build_nested(mids: int = 2, leaves: int = 2) -> tuple[Application, EntryRequ
 def symbolic(trace: ExecutionTrace, with_payload: bool = False) -> tuple:
     """Render a trace as the compact (stack-lines, count[, payload], faulted)
     tuples used for comparison against hand-written execution sequences."""
-    fault_keys = {
-        ev.dei.key() for ev in trace.events if ev.kind == "fault_injected" and ev.dei is not None
+    faulted = {
+        ev.dei for ev in trace.events if ev.kind == "fault_injected" and ev.dei is not None
     }
     out = []
     for ev in trace.invocation_events():
@@ -150,7 +150,7 @@ def symbolic(trace: ExecutionTrace, with_payload: bool = False) -> tuple:
         if with_payload:
             values = entry.detail.payload.values if entry.detail else ()
             item += (values[0] if values else None,)
-        item += (ev.dei.key() in fault_keys,)
+        item += (ev.dei in faulted,)
         out.append(item)
     return tuple(out)
 
@@ -159,7 +159,7 @@ def _fault_points(
     discovered: set[DistributedExecutionIndex], catalog: FaultCatalog
 ) -> list[tuple[DistributedExecutionIndex, tuple[FaultSpec, ...]]]:
     points = []
-    for dei in sorted(discovered, key=lambda d: d.key()):
+    for dei in sorted(discovered, key=indexing.encode):
         specs = catalog.faults_for_digest(dei.last.signature_digest)
         points.append((dei, specs))
     return points
@@ -188,7 +188,7 @@ def brute_force_execution_set(
         plan = FaultPlan(plan_map, config=config)
         trace = run_execution(app, entry, plan, seed=seed, config=config)
         fired = frozenset(
-            (ev.dei.key(), ev.outcome["fault"])
+            (ev.dei, ev.outcome["fault"])
             for ev in trace.events
             if ev.kind == "fault_injected" and ev.dei is not None and ev.outcome
         )
@@ -207,7 +207,7 @@ def brute_force_execution_set(
             if not chosen:
                 continue
             plan_map = {dei: spec for dei, spec in chosen}
-            key = frozenset((d.key(), s.fault_type) for d, s in plan_map.items())
+            key = frozenset((d, s.fault_type) for d, s in plan_map.items())
             if key not in tried:
                 candidates.append((key, plan_map))
         if not candidates:
@@ -224,7 +224,7 @@ def explore_execution_keys(report) -> set[frozenset]:
     keys = set()
     for ex in report.executions:
         keys.add(
-            frozenset((dei.key(), spec.fault_type) for dei, spec in ex.plan.items())
+            frozenset((dei, spec.fault_type) for dei, spec in ex.plan.items())
         )
     return keys
 
@@ -242,7 +242,8 @@ def rpc_site_count(app: Application) -> int:
 def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionDecision:
     """Dynamic reduction as first written: for every candidate it rebuilds
     the plan-key map and scans the whole history for each nested fault
-    point. The search's indexed version must decide exactly as this does."""
+    point and fault type. The search's indexed version must decide exactly
+    as this does."""
     items = candidate.items()
     if len(items) < 2:
         return ReductionDecision(prune=False)
@@ -253,7 +254,8 @@ def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> 
         enclosing = dei.prefix()
         surface = None
         for ex in history.executions:
-            if ex.plan.match(dei) is not None:
+            injected = ex.plan.match(dei)
+            if injected is not None and injected.fault_type == spec.fault_type:
                 surface = _surface_of_enclosing(ex.trace, enclosing)
                 if surface is not None:
                     break

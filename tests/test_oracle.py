@@ -27,7 +27,7 @@ def assert_oracle_equivalence(app, entry, catalog):
     assert explored == set(oracle)
     # Trace agreement per effective plan, not just plan-set equality.
     by_key = {
-        frozenset((d.key(), s.fault_type) for d, s in ex.plan.items()): ex.trace
+        frozenset((d, s.fault_type) for d, s in ex.plan.items()): ex.trace
         for ex in report.executions
     }
     for key, oracle_trace in oracle.items():

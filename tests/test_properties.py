@@ -112,7 +112,7 @@ class TestCounterLaws:
         state = CounterState()
         counter_next(state, path_a, a)
         counter_next(state, path_a, a)
-        if (path_b.key(), b.digest_triple()) != (path_a.key(), a.digest_triple()):
+        if (path_b, b.digest_triple()) != (path_a, a.digest_triple()):
             assert counter_next(state, path_b, b) == 1
         else:
             assert counter_next(state, path_b, b) == 3

@@ -3,9 +3,12 @@ checking, and graph reconstruction."""
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
-from dexi import search
+from dexi import indexing, search
 from dexi.indexing import FULL_CONFIG, config_from_label
 from dexi.programs import Application, Const, Endpoint, EntryRequest, Return, ServiceProgram
 from dexi.search import (
@@ -134,11 +137,11 @@ class TestDynamicReduction:
             assert len(pruned.plan) >= 2
         # Every discovered index still had its singleton executed.
         singles = {
-            next(iter(ex.plan.items()))[0].key()
+            next(iter(ex.plan.items()))[0]
             for ex in report.executions
             if len(ex.plan) == 1
         }
-        assert {d.key() for d in report.discovered_deis} == singles
+        assert report.discovered_deis == singles
 
     def test_reduction_safety_on_corpus(self, corpus):
         for entry in corpus.values():
@@ -318,6 +321,22 @@ class TestIndexedReduction:
         report = _run_against_reference(monkeypatch, app, entry, FULL_CONFIG, catalog)
         assert (report.total_executed, len(report.pruned)) == counts
 
+    def test_pruned_reason_cites_the_injected_fault(self):
+        # Each reason's surface must come from the fault type the pruned
+        # plan injects at the nested RPC it names, not from another one.
+        app, entry = build_nested(mids=2, leaves=2)
+        catalog = FaultCatalog(
+            {sig: (FaultSpec("connection-error"), FaultSpec("timeout"))
+             for sig in FaultCatalog.uniform(app).signatures()}
+        )
+        report = explore(app, entry, catalog, reduction_enabled=True)
+        assert (report.total_executed, len(report.pruned)) == (33, 16)
+        cited = re.compile(r"nested RPC (\[[^\]]*\]) .*\(equivalent surface (\{[^}]*\})")
+        for pruned in report.pruned:
+            nested, surface = cited.search(pruned.reason).groups()
+            injected = {indexing.encode(d): spec for d, spec in pruned.plan.items()}[nested]
+            assert json.loads(surface) == {"fault": injected.fault_type}
+
     def test_history_appended_directly_catches_up(self):
         app, entry = build_nested(mids=2, leaves=2)
         explored = explore(app, entry, FaultCatalog.uniform(app), reduction_enabled=True)
@@ -343,5 +362,5 @@ class TestIndexedReduction:
         plan = FaultPlan({deis[0]: FaultSpec(), deis[1]: FaultSpec("timeout")})
         assert plan.key() is plan.key()
         assert plan.key() == frozenset(
-            (dei.key(), spec.fault_type, spec.mode) for dei, spec in plan.items()
+            (dei, spec.fault_type, spec.mode) for dei, spec in plan.items()
         )

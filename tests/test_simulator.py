@@ -4,6 +4,8 @@ budgets, and trace invariants."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from dexi.programs import (
     AwaitAll,
     Var,
 )
+from dexi.search import FaultCatalog, explore
 from dexi.simulator import (
     ExecutionTrace,
     FaultPlan,
@@ -36,6 +39,20 @@ from dexi.simulator import (
 )
 
 from helpers import symbolic
+
+
+def rpc(service: str, line: int) -> Rpc:
+    return Rpc(service=service, method="get", args=(("s", Const("x")),), line=line, assign="r")
+
+
+def spawn_app(*body) -> Application:
+    """`a.go()` runs `body`; `b.get(s)` and `c.get(s)` return `s`."""
+    leaf = Endpoint(method="get", params=(("s", "String"),), body=(Return(Var("s")),))
+    services = {name: ServiceProgram(name=name, endpoints={"get": leaf}) for name in "bc"}
+    services["a"] = ServiceProgram(
+        name="a", endpoints={"go": Endpoint(method="go", params=(), body=body)}
+    )
+    return Application(services=services)
 
 
 class TestPropagateContext:
@@ -69,6 +86,19 @@ class TestDigestCollision:
         entry = corpus["figure-5"]
         with pytest.raises(DexiError, match="digest collision"):
             run_execution(entry.app, entry.entry_request)
+
+
+class TestDigestsComputedOnce:
+    def test_at_most_three_digests_per_rpc(self, corpus, monkeypatch):
+        # One each for the signature, the payload and the call stack, when
+        # they are built; reading them back computes nothing.
+        calls = []
+        digest = indexing._digest
+        monkeypatch.setattr(indexing, "_digest", lambda data: calls.append(1) or digest(data))
+        for entry in corpus.values():
+            calls.clear()
+            trace = run_execution(entry.app, entry.entry_request)
+            assert len(calls) <= 3 * len(trace.invocation_events()), entry.name
 
 
 class TestPathAccumulation:
@@ -229,6 +259,55 @@ class TestSchedulers:
         entry = EntryRequest(service="a", method="go", args={})
         trace = run_execution(app, entry, scheduler=scheduler)
         assert trace.entry_outcome == {"value": [["inner"]]}
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_unawaited_block_never_runs(self, scheduler):
+        app = spawn_app(Spawn(futures="fs", body=(rpc("b", 2),), line=1),
+                        Return(Const("done")))
+        trace = run_execution(app, EntryRequest(service="a", method="go", args={}),
+                              scheduler=scheduler)
+        assert trace.invocation_events() == []
+        assert trace.entry_outcome == {"value": "done"}
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_block_starts_when_awaited(self, scheduler):
+        # Faulting c aborts the handler before the await, so b never runs:
+        # both schedulers explore {}, {b} and {c}.
+        app = spawn_app(Spawn(futures="fs", body=(rpc("b", 2),), line=1), rpc("c", 3),
+                        AwaitAll(futures="fs", line=4))
+        entry = EntryRequest(service="a", method="go", args={})
+        report = explore(app, entry, FaultCatalog.uniform(app), scheduler=scheduler)
+        assert report.total_executed == 3
+
+    @pytest.mark.parametrize("scheduler,pool_size", [("virtual", 1), ("threads", 1),
+                                                     ("threads", 2)])
+    def test_block_awaited_by_siblings_runs_once(self, scheduler, pool_size):
+        # Three gs blocks await fs from their workers, and so does the entry
+        # handler: fs runs once, and one worker never waits on the pool.
+        app = spawn_app(
+            Spawn(futures="fs", body=(rpc("b", 2), Return(Var("r"))), line=1),
+            Loop(var="i", items=Const([1, 2, 3]), line=3, body=(
+                Spawn(futures="gs", body=(AwaitAll(futures="fs", line=5, assign="xs"),
+                                          Return(Var("xs"))), line=4),
+            )),
+            AwaitAll(futures="gs", line=6, assign="ys"),
+            AwaitAll(futures="fs", line=7),
+            Return(Var("ys")),
+        )
+        entry = EntryRequest(service="a", method="go", args={})
+        traces = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: traces.append(run_execution(
+                app, entry, scheduler=scheduler, pool_size=pool_size)), daemon=True)
+            runner.start()
+            runner.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(traces) == 1
+        assert len(traces[0].invocation_events()) == 1
+        assert traces[0].entry_outcome == {"value": [["x"]] * 3}
 
     def test_unknown_scheduler_rejected(self, corpus):
         entry = corpus["figure-2"]

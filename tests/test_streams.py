@@ -88,7 +88,7 @@ class TestFigure6:
         rewrites = stream_events(trace, "index_rewritten")
         assert len(rewrites) == 2
         for event in rewrites:
-            assert event.preliminary_dei.key() != event.dei.key()
+            assert event.preliminary_dei != event.dei
 
     def test_multisets_deterministic_across_seeds(self, corpus):
         entry = corpus["figure-6-stream"]
