@@ -376,7 +376,10 @@ class VirtualScheduler:
 
 
 # Upper bound of the random delay before each RPC under the thread scheduler.
-DISPATCH_JITTER_SECONDS = 100e-6
+# Awaited blocks reach the pool together, so the order in which workers wake
+# from this delay, not the interpreter lock, must decide arrival order: it is
+# a few times the interpreter time of one RPC (about 200 us).
+DISPATCH_JITTER_SECONDS = 500e-6
 
 
 class ThreadScheduler:

@@ -283,7 +283,8 @@ class TestSchedulers:
                                                      ("threads", 2)])
     def test_block_awaited_by_siblings_runs_once(self, scheduler, pool_size):
         # Three gs blocks await fs from their workers, and so does the entry
-        # handler: fs runs once, and one worker never waits on the pool.
+        # handler: fs runs once, and a worker that awaits it runs it inline
+        # instead of waiting on the pool it occupies.
         app = spawn_app(
             Spawn(futures="fs", body=(rpc("b", 2), Return(Var("r"))), line=1),
             Loop(var="i", items=Const([1, 2, 3]), line=3, body=(
