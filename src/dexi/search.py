@@ -115,8 +115,9 @@ class SearchReport:
         `_by_plan_key` maps a plan key to its (last) execution. For each
         nested fault point and fault type, `_nested_surfaces` keeps the
         enclosing RPC's surface from the first execution, in history order,
-        that injects that fault there and whose trace shows a surface. A history that was replaced or
-        shortened since the last call is indexed again from the start.
+        that injects that fault there and whose trace shows a surface. A
+        history that was replaced or shortened since the last call is
+        indexed again from the start.
         """
         indexed_list, start = self._indexed
         if indexed_list is not self.executions or start > len(self.executions):
@@ -211,9 +212,8 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
     faults with a fault on r' whose observed surface equals the surface the
     same fault on r gave r' in an earlier trace: everything above r' saw the
     same inputs in that execution, so re-running it cannot observe anything
-    new.
-    Single-fault plans are never pruned, and when the surfaces cannot be
-    matched up from history the candidate is kept.
+    new. Single-fault plans are never pruned, and when the surfaces cannot
+    be matched up from history the candidate is kept.
     """
     items = candidate.items()
     if len(items) < 2:
