@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .indexing import FULL_CONFIG, DexiError, InstantiationConfig
+from .indexing import DexiError
 from .programs import (
     Application,
     AwaitAll,
@@ -115,7 +115,6 @@ def run_nondeterminism_experiment(
     n_rpcs: int,
     pool_size: int,
     iterations: int,
-    config: InstantiationConfig = FULL_CONFIG,
 ) -> NondeterminismResult:
     """Run the fan-out app repeatedly on real threads and record order matches.
 
@@ -129,13 +128,7 @@ def run_nondeterminism_experiment(
     expected = [f"t{i:03d}" for i in range(n_rpcs)]
     records = []
     for _ in range(iterations):
-        trace = run_execution(
-            app,
-            entry,
-            scheduler="threads",
-            pool_size=pool_size,
-            config=config,
-        )
+        trace = run_execution(app, entry, scheduler="threads", pool_size=pool_size)
         observed = [
             dict(event.payload)["tag"]
             for event in trace.invocation_events()

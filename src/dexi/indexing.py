@@ -362,13 +362,14 @@ class CounterState:
             concurrent = False
             if lineage is not None:
                 previous = self._claimants.get(key)
-                if previous is not None and not _related(previous, lineage):
+                if previous is not None and not related(previous, lineage):
                     concurrent = True
                 self._claimants[key] = lineage
         return count, concurrent
 
 
-def _related(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+def related(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True iff one task lineage is a prefix of the other."""
     shorter = min(len(a), len(b))
     return a[:shorter] == b[:shorter]
 
@@ -385,8 +386,6 @@ def dei_extend(
     path: DistributedExecutionIndex, inv_sig: InvocationSignature, count: int
 ) -> DistributedExecutionIndex:
     """Append one counted invocation signature to a path; the path is unchanged."""
-    if count < 1:
-        raise InvalidCountError(f"invocation count must be >= 1, got {count}")
     sig_d, pay_d, stk_d = inv_sig.digest_triple()
     entry = IndexEntry(
         signature_digest=sig_d,

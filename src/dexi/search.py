@@ -51,9 +51,9 @@ class FaultCatalog:
         self._by_digest = {sig.digest: tuple(specs) for sig, specs in self._faults.items()}
 
     @classmethod
-    def uniform(cls, app: Application, spec: FaultSpec | None = None) -> FaultCatalog:
-        """One declared fault (default: connection error) per reachable signature."""
-        spec = spec if spec is not None else FaultSpec(CONNECTION_ERROR)
+    def uniform(cls, app: Application) -> FaultCatalog:
+        """A connection error declared for every reachable signature."""
+        spec = FaultSpec(CONNECTION_ERROR)
         table: dict[Signature, tuple[FaultSpec, ...]] = {}
         # Stream sends share their stream target's signature, so Rpc and
         # OpenStream statements cover every reachable signature.
@@ -152,9 +152,6 @@ class SearchReport:
                 if w not in seen:
                     seen.append(w)
         return seen
-
-    def plan_keys(self) -> set[frozenset]:
-        return {ex.plan.key() for ex in self.executions}
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -260,7 +257,6 @@ def explore(
     reduction_enabled: bool = False,
     scheduler: str = "virtual",
     seed: int = 0,
-    pool_size: int = 2,
     budget: int = 1000,
 ) -> SearchReport:
     """Exhaust the fault space reachable from the entry request.
@@ -283,15 +279,7 @@ def explore(
             raise BudgetExceededError(
                 f"exploration exceeded its budget of {budget} executions"
             )
-        trace = run_execution(
-            app,
-            entry,
-            plan,
-            seed=seed,
-            config=config,
-            scheduler=scheduler,
-            pool_size=pool_size,
-        )
+        trace = run_execution(app, entry, plan, seed=seed, config=config, scheduler=scheduler)
         report.executions.append(ExecutedPlan(plan=plan, trace=trace))
         for dei in trace.invocation_deis():
             report.discovered_deis.add(dei)

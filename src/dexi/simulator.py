@@ -64,6 +64,7 @@ from .programs import (
     Loop,
     Not,
     OpenStream,
+    ProgramError,
     Raise,
     Return,
     Rpc,
@@ -174,9 +175,8 @@ class RpcEvent:
     lineage: tuple[int, ...] = ()
 
     def causally_precedes(self, other: RpcEvent) -> bool:
-        shorter = min(len(self.lineage), len(other.lineage))
-        related = self.lineage[:shorter] == other.lineage[:shorter]
-        return related and self.sequence_number < other.sequence_number
+        return (indexing.related(self.lineage, other.lineage)
+                and self.sequence_number < other.sequence_number)
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -299,10 +299,9 @@ class ExecutionTrace:
 class RpcFailure(Exception):
     """An RPC failed at the call site; catchable by the program's try/catch."""
 
-    def __init__(self, descriptor: dict[str, Any], injected: bool = False) -> None:
+    def __init__(self, descriptor: dict[str, Any]) -> None:
         super().__init__(descriptor.get("fault", "fault"))
         self.descriptor = descriptor
-        self.injected = injected
 
 
 class HandlerAbort(Exception):
@@ -439,7 +438,6 @@ class _Stream:
         self.base = base
         self.in_flight = 0
         self.open = True
-        self.lock = threading.Lock()
         self.pairs: list[tuple[DistributedExecutionIndex, DistributedExecutionIndex]] = []
 
 
@@ -607,11 +605,7 @@ class _Execution:
         scope = {name: args[name] for name, _ in endpoint.params}
         ctx = _HandlerCtx(self.app.services[service], method, scope, (), path, lineage)
         try:
-            try:
-                self.exec_body(ctx, endpoint.body)
-                return None
-            except _ReturnSignal as ret:
-                return ret.value
+            return self._run_callable(ctx, endpoint.body)
         finally:
             for stream in ctx.streams:
                 if stream.open:
@@ -640,6 +634,8 @@ class _Execution:
         dei = self.assign_index(ctx, sig, payload, frames)
         # Plans and events name final indexes; the callee still gets `dei`.
         final = _apply_rewrites(dei, self.rewrites) if self.rewrites else dei
+        if final.has_preliminary():
+            raise DexiError(f"preliminary index survived finalization: {final.render()}")
         spec = self.plan.match(final)
         implicit = None
         if stream is not None and spec is None:
@@ -666,7 +662,7 @@ class _Execution:
             )
             if spec.mode == "response":
                 return spec.response
-            raise RpcFailure(spec.descriptor(), injected=True)
+            raise RpcFailure(spec.descriptor())
         metadata = {
             INDEX_METADATA_KEY: indexing.encode(dei if implicit is None else implicit),
             PRELIMINARY_METADATA_KEY: "false" if implicit is None else "true",
@@ -702,11 +698,10 @@ class _Execution:
         # Bases and messages at one key all draw from this counter, so no
         # two messages share a preliminary index and none equals a final one.
         # Claim and append are one step: the rewrite log stays in count order.
-        with stream.lock:
+        with self._lock:
             count, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
             implicit = _mark_last_preliminary(dei_extend(base_path, base.detail, count))
             stream.pairs.append((implicit, final))
-        with self._lock:
             self.rewrites[implicit] = final
         return implicit
 
@@ -733,7 +728,7 @@ class _Execution:
         args: dict[str, Any],
         frames: tuple[tuple[str, str], ...],
     ) -> Any:
-        with stream.lock:
+        with self._lock:
             if not stream.open:
                 raise StreamStateError(
                     f"send on closed stream to {stream.callee}.{stream.method}"
@@ -742,11 +737,11 @@ class _Execution:
         try:
             return self.invoke_rpc(ctx, stream.callee, stream.method, args, frames, stream)
         finally:
-            with stream.lock:
+            with self._lock:
                 stream.in_flight -= 1
 
     def finalize_stream(self, stream: _Stream) -> None:
-        with stream.lock:
+        with self._lock:
             if stream.in_flight:
                 raise StreamStateError(
                     f"stream to {stream.callee}.{stream.method} finalized with "
@@ -778,12 +773,12 @@ class _Execution:
         if isinstance(expr, Concat):
             return "".join(str(self.eval_expr(ctx, p)) for p in expr.parts)
         if isinstance(expr, Join):
-            items = self.eval_expr(ctx, expr.items)
+            items = _as_list(self.eval_expr(ctx, expr.items))
             return expr.sep.join(str(i) for i in items)
         if isinstance(expr, ListExpr):
             return [self.eval_expr(ctx, p) for p in expr.items]
         if isinstance(expr, First):
-            items = self.eval_expr(ctx, expr.items)
+            items = _as_list(self.eval_expr(ctx, expr.items))
             if not items:
                 raise HandlerAbort("service-error")
             return items[0]
@@ -804,7 +799,8 @@ class _Execution:
         if isinstance(stmt, Assign):
             ctx.scope[stmt.var] = self.eval_expr(ctx, stmt.value)
         elif isinstance(stmt, Append):
-            ctx.scope.setdefault(stmt.list_var, []).append(self.eval_expr(ctx, stmt.value))
+            items = _as_list(ctx.scope.setdefault(stmt.list_var, []))
+            items.append(self.eval_expr(ctx, stmt.value))
         elif isinstance(stmt, Rpc):
             args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
             value = self.invoke_rpc(ctx, stmt.service, stmt.method, args, ctx.frames_at(stmt.line))
@@ -818,7 +814,7 @@ class _Execution:
             if stmt.assign:
                 ctx.scope[stmt.assign] = value
         elif isinstance(stmt, Loop):
-            items = self.eval_expr(ctx, stmt.items)
+            items = _as_list(self.eval_expr(ctx, stmt.items))
             try:
                 for item in items:
                     ctx.scope[stmt.var] = item
@@ -862,14 +858,19 @@ class _Execution:
             raise DexiError(f"unhandled statement {stmt!r}")
 
     def _run_callable(self, ctx: _HandlerCtx, body: tuple[Stmt, ...]) -> Any:
+        """Run a handler's, helper's or spawned block's body to its value."""
         try:
             self.exec_body(ctx, body)
             return None
         except _ReturnSignal as ret:
             return ret.value
+        except _BreakSignal:
+            raise ProgramError(
+                f"break outside a loop in {ctx.service.name}.{ctx.symbol}"
+            ) from None
 
     def _exec_spawn(self, ctx: _HandlerCtx, stmt: Spawn) -> None:
-        handles = ctx.scope.setdefault(stmt.futures, [])
+        handles = _as_list(ctx.scope.setdefault(stmt.futures, []))
         ordinal = len(handles)
         lineage = ctx.lineage + (ordinal,)
         # Concurrent blocks start on a fresh call stack, the way a task
@@ -883,7 +884,9 @@ class _Execution:
         handles.append(_TaskHandle(lambda: self._run_callable(block_ctx, stmt.body)))
 
     def _exec_await(self, ctx: _HandlerCtx, stmt: AwaitAll) -> None:
-        handles = ctx.scope.get(stmt.futures, [])
+        handles = _as_list(ctx.scope.get(stmt.futures, []))
+        if not all(isinstance(h, _TaskHandle) for h in handles):
+            raise HandlerAbort("service-error")
         self.scheduler.await_all(handles)
         results = []
         first_error: Exception | None = None
@@ -895,6 +898,14 @@ class _Execution:
             raise first_error
         if stmt.assign:
             ctx.scope[stmt.assign] = results
+
+
+def _as_list(value: Any) -> list:
+    """`value`, which a program may only use as a list; any other value
+    aborts the handler, as reading an unset variable does."""
+    if not isinstance(value, list):
+        raise HandlerAbort("service-error")
+    return value
 
 
 def _mark_last_preliminary(dei: DistributedExecutionIndex) -> DistributedExecutionIndex:
@@ -947,12 +958,6 @@ def _finalize_trace(
         config=execution.config,
         warnings=tuple(execution.warnings),
     )
-    for event in trace.events:
-        if event.kind in ("invocation", "completion", "fault_injected") and event.dei is not None:
-            if event.dei.has_preliminary():
-                raise DexiError(
-                    f"preliminary index survived finalization: {event.dei.render()}"
-                )
     if execution.config.is_full:
         seen: set[DistributedExecutionIndex] = set()
         for dei in trace.invocation_deis():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dexi
 from dexi.cli import main
 
 
@@ -183,6 +188,58 @@ class TestNestingBound:
         assert len(err) == 1
         assert err[0].startswith("error: self-rpc: RPC ")
         assert err[0].endswith(reason)
+
+
+def one_handler_entry(name: str, body: list) -> dict:
+    return {
+        "name": name,
+        "services": [{"name": "a", "endpoints": [{"method": "go", "params": [], "body": body}]}],
+        "entry": {"service": "a", "method": "go", "args": {}},
+    }
+
+
+def assign(var: str, value) -> dict:
+    return {"op": "assign", "var": var, "value": {"const": value}}
+
+
+class TestCorpusValues:
+    """A corpus program that uses a value as the wrong kind ends its handler
+    with a service error; a misplaced break ends the run with one error line."""
+
+    @pytest.mark.parametrize(
+        "body,error",
+        [
+            ([assign("fs", "abc"), {"op": "await_all", "futures": "fs", "line": 2}], None),
+            ([assign("fs", [1]), {"op": "await_all", "futures": "fs", "line": 2}], None),
+            ([{"op": "loop", "var": "i", "in": {"const": 3}, "line": 2, "body": []}], None),
+            ([{"op": "return", "value": {"join": {"list": {"const": 3}}}}], None),
+            ([{"op": "return", "value": {"first": {"const": 3}}}], None),
+            ([assign("xs", "abc"), {"op": "append", "list": "xs", "value": {"const": 1}}], None),
+            ([assign("fs", "abc"), {"op": "spawn", "futures": "fs", "line": 2, "body": []}], None),
+            ([{"op": "break"}], "break outside a loop in a.go"),
+            ([{"op": "loop", "var": "i", "in": {"const": [1]}, "line": 2, "body": [
+                {"op": "spawn", "futures": "fs", "line": 3, "body": [{"op": "break"}]}]},
+              {"op": "await_all", "futures": "fs", "line": 4}], "break outside a loop in a.go"),
+        ],
+        ids=["await-str", "await-ints", "loop-int", "join-int", "first-int", "append-str",
+             "spawn-str", "break", "break-in-block"],
+    )
+    def test_no_traceback(self, tmp_path, body, error):
+        (tmp_path / "probe.json").write_text(json.dumps(one_handler_entry("probe", body)))
+        out = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(dexi.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dexi.cli", "explore", "--corpus", tmp_path, "--out", out],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        if error is None:
+            assert proc.returncode == 0, proc.stderr
+            [execution] = json.loads(out.read_text())["entries"][0]["executions"]
+            assert execution["entry_outcome"] == {"fault": "service-error"}
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr.splitlines() == [f"error: probe: {error}"]
 
 
 class TestNondeterminism:

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from dexi import indexing
+from dexi import indexing, simulator
 from dexi.indexing import DexiError, EMPTY_INDEX, config_from_label, decode, encode
 from dexi.programs import (
     Application,
@@ -24,6 +24,7 @@ from dexi.programs import (
     Spawn,
     AwaitAll,
     Var,
+    parse_application,
 )
 from dexi.search import FaultCatalog, explore
 from dexi.simulator import (
@@ -470,6 +471,43 @@ class TestTraceInvariants:
         loaded = ExecutionTrace.from_json_lines(trace.to_json_lines())
         assert loaded.to_json_lines() == trace.to_json_lines()
         assert loaded.config == config
+
+    def test_preliminary_index_never_survives(self, monkeypatch):
+        # A stream message's handler calls out under the message's
+        # preliminary index; with rewrites switched off, that index reaches
+        # the recorded RPC and the check must stop the execution.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "open_stream", "service": "b", "method": "handle", "line": 2,
+                 "assign": "st"},
+                {"op": "stream_send", "stream": "st", "args": {"s": {"const": "x"}}, "line": 3},
+                {"op": "close_stream", "stream": "st"},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "handle", "params": [{"name": "s"}], "body": [
+                {"op": "rpc", "service": "c", "method": "get", "args": {}, "line": 7},
+            ]}]},
+            {"name": "c", "endpoints": [{"method": "get", "params": [], "body": []}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={})
+        run_execution(app, entry)
+        monkeypatch.setattr(simulator, "_apply_rewrites", lambda dei, rewrites: dei)
+        with pytest.raises(DexiError, match="preliminary index survived finalization"):
+            run_execution(app, entry)
+
+    def test_duplicate_full_index_rejected(self, monkeypatch):
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "loop", "var": "i", "in": {"const": [1, 2]}, "line": 2, "body": [
+                    {"op": "rpc", "service": "b", "method": "get", "args": {}, "line": 3},
+                ]},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [], "body": []}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={})
+        run_execution(app, entry)
+        monkeypatch.setattr(indexing.CounterState, "claim", lambda *args: (1, False))
+        with pytest.raises(DexiError, match="duplicate full index within one trace"):
+            run_execution(app, entry)
 
     def test_header_without_config_loads_as_full(self, corpus):
         entry = corpus["figure-5"]
