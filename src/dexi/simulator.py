@@ -42,6 +42,7 @@ from .indexing import (
     Signature,
     dei_extend,
     mask_invocation_signature,
+    related,
 )
 from .programs import (
     Application,
@@ -175,8 +176,8 @@ class RpcEvent:
     lineage: tuple[int, ...] = ()
 
     def causally_precedes(self, other: RpcEvent) -> bool:
-        return (indexing.related(self.lineage, other.lineage)
-                and self.sequence_number < other.sequence_number)
+        return (self.sequence_number < other.sequence_number
+                and related(self.lineage, other.lineage))
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -430,7 +431,8 @@ def _make_scheduler(mode: str, seed: int, pool_size: int) -> VirtualScheduler | 
 
 class _Stream:
     """A client stream. Its preliminary `base` index (caller path and masked
-    signature) is the counter key its messages are numbered at."""
+    signature) is the counter key its messages are numbered at. The
+    execution's lock guards its mutable fields."""
 
     def __init__(self, callee: str, method: str, base: DistributedExecutionIndex) -> None:
         self.callee = callee

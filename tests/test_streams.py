@@ -4,6 +4,9 @@ finalized."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from dexi.indexing import CONFIG_LABELS, EMPTY_PAYLOAD
@@ -15,6 +18,7 @@ from dexi.programs import (
     Const,
     Endpoint,
     EntryRequest,
+    Loop,
     OpenStream,
     Return,
     Rpc,
@@ -326,6 +330,57 @@ class TestStreamChain:
         for event in stream_events(trace, "index_rewritten"):
             assert not event.dei.has_preliminary()
         assert_matches_oracle(app, entry, 7, config, scheduler)
+
+
+class TestConcurrentSends:
+    def test_rewrite_log_in_count_order_under_threads(self):
+        # Sixteen blocks send on one stream from four workers, switching
+        # threads every microsecond: each message still gets its own count
+        # at the base key, and the rewrite log lists them in count order.
+        words = [f"w{i:02d}" for i in range(16)]
+        a_body = (
+            OpenStream(service="b", method="handle", line=3, assign="st"),
+            Loop(var="w", items=Const(words), line=4, body=(
+                Spawn(futures="fs", line=5, body=(
+                    StreamSend(stream="st", args=(("s", Var("w")),), line=6, assign="r"),
+                    Return(Var("r")),
+                )),
+            )),
+            AwaitAll(futures="fs", line=8, assign="rs"),
+            CloseStream(stream="st"),
+            Return(Const("done")),
+        )
+        b_body = (
+            Rpc(service="c", method="decorate", args=(("s", Var("s")),), line=21, assign="d"),
+            Return(Var("d")),
+        )
+        app = Application(services={
+            "a": _service("a", "go", (), a_body),
+            "b": _service("b", "handle", (("s", "String"),), b_body),
+            "c": _decorator("c"),
+        })
+        entry = EntryRequest(service="a", method="go", args={})
+        traces = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: traces.append(run_execution(
+                app, entry, scheduler="threads", pool_size=4)), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(traces) == 1
+        trace = traces[0]
+        assert trace.entry_outcome == {"value": "done"}
+        rewritten = stream_events(trace, "index_rewritten")
+        assert [e.preliminary_dei.last.count for e in rewritten] == list(range(2, 18))
+        finals = {e.preliminary_dei: e.dei for e in rewritten}
+        sends = [e for e in trace.invocation_events() if e.callee == "b"]
+        assert len(sends) == 16
+        assert all(finals[e.preliminary_dei] == e.dei for e in sends)
+        downstream = [e for e in trace.invocation_events() if e.callee == "c"]
+        assert {e.dei.prefix() for e in downstream} == set(finals.values())
 
 
 class TestStreamErrors:
