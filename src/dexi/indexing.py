@@ -213,14 +213,14 @@ def make_invocation_signature(
     return InvocationSignature(signature=sig, payload=payload, callstack=stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexEntry:
     """One counted invocation-signature step of an index.
 
     Equality and hashing use the digests and the count only; the rich
     invocation signature (when locally known) and the preliminary marker are
     carried as non-comparing detail so that wire-decoded entries compare equal
-    to the locally created ones.
+    to the locally created ones. The hash is computed once, on construction.
     """
 
     signature_digest: str
@@ -229,10 +229,16 @@ class IndexEntry:
     count: int
     detail: InvocationSignature | None = field(default=None, compare=False)
     preliminary: bool = field(default=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise InvalidCountError(f"invocation count must be >= 1, got {self.count}")
+        object.__setattr__(self, "_hash", hash((self.signature_digest, self.payload_digest,
+                                                self.callstack_digest, self.count)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
         if self.detail is not None:
@@ -240,16 +246,24 @@ class IndexEntry:
         return f"sig:{self.signature_digest}|{self.count}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributedExecutionIndex:
     """Sequence of counted invocation signatures identifying one dynamic RPC.
 
     The empty sequence denotes the top-level entry point; every prefix of a
     valid index is itself a valid index. An index is its own key: equality
-    and hashing compare the entries' digests and counts only.
+    and hashing compare the entries' digests and counts only, and the hash is
+    computed once, on construction.
     """
 
     entries: tuple[IndexEntry, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -511,8 +525,9 @@ def encode(dei: DistributedExecutionIndex) -> str:
     return f"[{body}]"
 
 
-def decode(text: str) -> DistributedExecutionIndex:
-    """Parse the canonical wire form produced by `encode`."""
+def decode(text: str, details: Mapping | None = None) -> DistributedExecutionIndex:
+    """Parse the canonical wire form produced by `encode`. `details` maps a
+    digest triple back to its invocation signature, for reporting."""
     if not isinstance(text, str) or len(text) < 2 or text[0] != "[" or text[-1] != "]":
         raise DecodeError(f"not an encoded index: {text!r}")
     body = text[1:-1]
@@ -532,6 +547,7 @@ def decode(text: str) -> DistributedExecutionIndex:
                 payload_digest=pay_d,
                 callstack_digest=stk_d,
                 count=int(count),
+                detail=details.get((sig_d, pay_d, stk_d)) if details else None,
             )
         )
     return DistributedExecutionIndex(tuple(entries))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .indexing import DexiError
+from .indexing import DexiError, Signature
 
 
 class ProgramError(DexiError):
@@ -237,6 +237,10 @@ class Application:
             return svc.endpoints[method]
         except KeyError:
             raise ProgramError(f"service {service!r} has no endpoint {method!r}") from None
+
+    def signature(self, service: str, method: str) -> Signature:
+        """The static signature of an endpoint, which every RPC to it shares."""
+        return Signature(service, method, self.endpoint(service, method).params)
 
     def validate_entry(self, entry: EntryRequest) -> None:
         endpoint = self.endpoint(entry.service, entry.method)

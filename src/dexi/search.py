@@ -31,6 +31,7 @@ from .simulator import (
     ExecutionTrace,
     FaultPlan,
     FaultSpec,
+    IdentityTable,
     run_execution,
 )
 
@@ -59,9 +60,7 @@ class FaultCatalog:
         # OpenStream statements cover every reachable signature.
         for _, _, stmt in iter_statements(app):
             if isinstance(stmt, (Rpc, OpenStream)):
-                endpoint = app.services[stmt.service].endpoints[stmt.method]
-                sig = Signature(stmt.service, stmt.method, endpoint.params)
-                table[sig] = (spec,)
+                table[app.signature(stmt.service, stmt.method)] = (spec,)
         return cls(table)
 
     def faults_for_digest(self, signature_digest: str, context: str = "") -> tuple[FaultSpec, ...]:
@@ -266,6 +265,8 @@ def explore(
     which reproduces the unsound and incomplete behaviour those schemes have.
     """
     report = SearchReport(config=config, reduction_enabled=reduction_enabled)
+    options = dict(seed=seed, config=config, scheduler=scheduler,
+                   identities=IdentityTable(app, config))
     worklist: deque[FaultPlan] = deque([FaultPlan(config=config)])
     seen: set[frozenset] = {FaultPlan(config=config).key()}
     while worklist:
@@ -279,7 +280,7 @@ def explore(
             raise BudgetExceededError(
                 f"exploration exceeded its budget of {budget} executions"
             )
-        trace = run_execution(app, entry, plan, seed=seed, config=config, scheduler=scheduler)
+        trace = run_execution(app, entry, plan, **options)
         report.executions.append(ExecutedPlan(plan=plan, trace=trace))
         for dei in trace.invocation_deis():
             report.discovered_deis.add(dei)
@@ -298,13 +299,13 @@ def explore(
                 context=f"{event.callee}.{event.method}",
             )
             for spec in faults:
-                extended = dict(plan.items())
-                extended[event.dei] = spec
-                new_plan = FaultPlan(extended, config=config)
-                key = new_plan.key()
+                # Most extensions repeat a queued plan: build only new ones.
+                key = plan.key() | {(event.dei, spec.fault_type, spec.mode)}
                 if key not in seen:
                     seen.add(key)
-                    worklist.append(new_plan)
+                    extended = dict(plan.items())
+                    extended[event.dei] = spec
+                    worklist.append(FaultPlan(extended, config=config))
     return report
 
 

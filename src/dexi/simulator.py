@@ -15,6 +15,7 @@ genuine scheduling nondeterminism that index assignment must survive.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import random
@@ -29,17 +30,16 @@ from .indexing import (
     INDEX_METADATA_KEY,
     PRELIMINARY_METADATA_KEY,
     CallStackDigest,
+    CanonicalizationError,
     CounterState,
     DexiError,
     DistributedExecutionIndex,
     EMPTY_INDEX,
     EMPTY_PAYLOAD,
     FULL_CONFIG,
-    IndexEntry,
     InstantiationConfig,
     InvocationPayload,
     InvocationSignature,
-    Signature,
     dei_extend,
     mask_invocation_signature,
     related,
@@ -301,7 +301,7 @@ class RpcFailure(Exception):
     """An RPC failed at the call site; catchable by the program's try/catch."""
 
     def __init__(self, descriptor: dict[str, Any]) -> None:
-        super().__init__(descriptor.get("fault", "fault"))
+        super().__init__(descriptor)
         self.descriptor = descriptor
 
 
@@ -350,7 +350,8 @@ class _TaskHandle:
             try:
                 self.value = runner()
             except Exception as exc:  # surfaced at await_all, in creation order
-                self.error = exc
+                # Its traceback reaches this handle through the frames.
+                self.error = exc.with_traceback(None)
             self.done = True
 
 
@@ -447,6 +448,57 @@ class _Stream:
 # Execution environment
 
 
+class IdentityTable:
+    """The identity parts of RPCs, built once per exploration: signatures per
+    endpoint, call stacks per call site, and masked invocation signatures per
+    call site and canonical argument bytes (not raw values: `1 == True`), so a
+    repeated RPC computes no digest. Each new invocation signature is checked
+    for a digest collision. `explore` shares one table among its executions;
+    any other run builds its own."""
+
+    def __init__(self, app: Application, config: InstantiationConfig) -> None:
+        self.config = config
+        self._signature = functools.cache(app.signature)
+        self._stack = functools.cache(CallStackDigest.from_frames)
+        self._invocations: dict[tuple, InvocationSignature] = {}
+        self.by_digest: dict[tuple[str, str, str], InvocationSignature] = {}
+
+    def invocation(self, service: str, method: str, args: Mapping[str, Any] | None,
+                   frames: tuple[tuple[str, str], ...]) -> InvocationSignature:
+        """The masked invocation signature of an RPC from the call stack
+        `frames`; `args` is None for a stream's open, whose payload is empty."""
+        try:
+            key = (service, method, frames, None if args is None else tuple(
+                (name, indexing.canonical_bytes(value)) for name, value in args.items()
+            ))
+        except CanonicalizationError:
+            for name, value in args.items():
+                _check_crossable(value, f"argument {name!r} of {service}.{method} holds")
+            raise
+        inv = self._invocations.get(key)
+        if inv is None:
+            sig = self._signature(service, method)
+            payload = EMPTY_PAYLOAD if args is None else InvocationPayload.from_mapping(sig, args)
+            inv = InvocationSignature(sig, payload, self._stack(frames))
+            inv = mask_invocation_signature(inv, self.config)
+            known = self.by_digest.setdefault(inv.digest_triple(), inv)
+            if known != inv:
+                raise DexiError(f"digest collision: {known.render()} and {inv.render()} "
+                                "share one digest triple")
+            inv = self._invocations[key] = known
+        return inv
+
+
+def _check_crossable(value: Any, what: str) -> None:
+    """Raise if `value` holds a futures list or a stream, which have no wire form."""
+    if isinstance(value, list):
+        for item in value:
+            _check_crossable(item, what)
+    elif isinstance(value, (_TaskHandle, _Stream)):
+        kind = "stream" if isinstance(value, _Stream) else "futures list"
+        raise CanonicalizationError(f"{what} a {kind}, which cannot cross an RPC boundary")
+
+
 class _HandlerCtx:
     """Per-handler interpreter state: variables, frames, path, task lineage."""
 
@@ -487,10 +539,12 @@ class _Execution:
         scheduler,
         seed: int,
         budget: int,
+        identities: IdentityTable,
     ) -> None:
         self.app = app
         self.plan = plan
         self.config = config
+        self.identities = identities
         self.scheduler = scheduler
         self.seed = seed
         self.budget = budget
@@ -498,7 +552,6 @@ class _Execution:
         self.events: list[RpcEvent] = []
         self.warnings: list[str] = []
         self.rewrites: dict[DistributedExecutionIndex, DistributedExecutionIndex] = {}
-        self.detail_table: dict[tuple[str, str, str], InvocationSignature] = {}
         self.assigned: set[DistributedExecutionIndex] = set()
         self._lock = threading.Lock()
         self._seq = itertools.count()
@@ -528,14 +581,9 @@ class _Execution:
     # -- index assignment
 
     def assign_index(
-        self,
-        ctx: _HandlerCtx,
-        sig: Signature,
-        payload: InvocationPayload,
-        frames: tuple[tuple[str, str], ...],
-        preliminary: bool = False,
+        self, ctx: _HandlerCtx, id_inv: InvocationSignature, preliminary: bool = False
     ) -> DistributedExecutionIndex:
-        """Extend the caller's path with one counted invocation signature.
+        """Extend the caller's path with one counted (masked) invocation signature.
 
         A preliminary (stream-open) index pairs the signature with the empty
         payload, because the real payloads are unknown at open time, so it
@@ -543,16 +591,9 @@ class _Execution:
         at its counter key, so it claims that key even when counts are masked.
         """
         if len(ctx.path) >= MAX_INDEX_DEPTH:
-            raise DexiError(f"RPC to {sig.render()} would nest deeper than {MAX_INDEX_DEPTH} calls")
-        stack = CallStackDigest.from_frames(frames)
-        inv = InvocationSignature(signature=sig, payload=payload, callstack=stack)
+            raise DexiError(f"RPC to {id_inv.signature.render()} would nest deeper "
+                            f"than {MAX_INDEX_DEPTH} calls")
         id_path = ctx.path if self.config.include_path else EMPTY_INDEX
-        id_inv = mask_invocation_signature(inv, self.config)
-        known = self.detail_table.setdefault(id_inv.digest_triple(), id_inv)
-        if known is not id_inv and known != id_inv:
-            raise DexiError(
-                f"digest collision: {known.render()} and {id_inv.render()} share one digest triple"
-            )
         if self.config.include_count or preliminary:
             count, raced = self.counter.claim(id_path, id_inv, ctx.lineage)
             if raced and not preliminary:
@@ -593,21 +634,13 @@ class _Execution:
         lineage: tuple[int, ...],
     ) -> Any:
         endpoint = self.app.endpoint(service, method)
-        path = propagate_context(metadata)
-        if path.entries:
-            # The wire carries digests only; restore the signatures this
-            # execution assigned, for reporting.
-            table = self.detail_table
-            path = DistributedExecutionIndex(tuple(
-                IndexEntry(e.signature_digest, e.payload_digest, e.callstack_digest, e.count,
-                           table.get((e.signature_digest, e.payload_digest, e.callstack_digest)),
-                           e.preliminary)
-                for e in path.entries
-            ))
+        path = propagate_context(metadata, self.identities.by_digest)
         scope = {name: args[name] for name, _ in endpoint.params}
         ctx = _HandlerCtx(self.app.services[service], method, scope, (), path, lineage)
         try:
-            return self._run_callable(ctx, endpoint.body)
+            value = self._run_callable(ctx, endpoint.body)
+            _check_crossable(value, f"{service}.{method} returns")
+            return value
         finally:
             for stream in ctx.streams:
                 if stream.open:
@@ -627,13 +660,9 @@ class _Execution:
         A message on `stream` travels with the preliminary index the callee
         numbers it by, and that index is queued for rewriting to its final one.
         """
-        if stream is None:
-            sig = Signature(callee, method, self.app.endpoint(callee, method).params)
-        else:
-            sig = stream.base.last.detail.signature
-        payload = InvocationPayload.from_mapping(sig, args)
+        inv = self.identities.invocation(callee, method, args, frames)
         self.scheduler.pre_dispatch()
-        dei = self.assign_index(ctx, sig, payload, frames)
+        dei = self.assign_index(ctx, inv)
         # Plans and events name final indexes; the callee still gets `dei`.
         final = _apply_rewrites(dei, self.rewrites) if self.rewrites else dei
         if final.has_preliminary():
@@ -649,7 +678,7 @@ class _Execution:
             method=method,
             dei=final,
             preliminary_dei=implicit,
-            payload=tuple((name, args[name]) for name, _ in sig.parameters),
+            payload=tuple((name, args[name]) for name, _ in inv.signature.parameters),
             lineage=ctx.lineage,
         )
         if spec is not None:
@@ -708,9 +737,8 @@ class _Execution:
         return implicit
 
     def open_stream(self, ctx: _HandlerCtx, stmt: OpenStream) -> _Stream:
-        endpoint = self.app.endpoint(stmt.service, stmt.method)
-        sig = Signature(stmt.service, stmt.method, endpoint.params)
-        base = self.assign_index(ctx, sig, EMPTY_PAYLOAD, ctx.frames_at(stmt.line), preliminary=True)
+        inv = self.identities.invocation(stmt.service, stmt.method, None, ctx.frames_at(stmt.line))
+        base = self.assign_index(ctx, inv, preliminary=True)
         stream = _Stream(stmt.service, stmt.method, base)
         ctx.streams.append(stream)
         self.record(
@@ -897,7 +925,9 @@ class _Execution:
                 first_error = handle.error
             results.append(handle.value)
         if first_error is not None:
-            raise first_error
+            # A copy: the stored error would take this frame, and through its
+            # scope the handle, into its traceback.
+            raise copy.copy(first_error)
         if stmt.assign:
             ctx.scope[stmt.assign] = results
 
@@ -928,16 +958,19 @@ def _apply_rewrites(
     return dei
 
 
-def propagate_context(metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
+def propagate_context(
+    metadata: Mapping[str, str] | None, details: Mapping | None = None
+) -> DistributedExecutionIndex:
     """Decode incoming metadata into the caller-supplied path.
 
     Absent metadata denotes the top-level entry point (the empty index). A
-    stream message's metadata marks its last entry preliminary.
+    stream message's metadata marks its last entry preliminary. The wire
+    carries digests only; `details` restores the signatures they stand for.
     """
     if metadata is None or INDEX_METADATA_KEY not in metadata:
         return EMPTY_INDEX
     try:
-        dei = indexing.decode(metadata[INDEX_METADATA_KEY])
+        dei = indexing.decode(metadata[INDEX_METADATA_KEY], details)
     except indexing.DecodeError as exc:
         raise MetadataError(f"undecodable index metadata: {exc}") from exc
     if metadata.get(PRELIMINARY_METADATA_KEY) == "true" and dei.entries:
@@ -970,15 +1003,7 @@ def _finalize_trace(
 
 
 def run_execution(
-    app: Application,
-    entry: EntryRequest,
-    plan: FaultPlan | None = None,
-    *,
-    seed: int = 0,
-    config: InstantiationConfig = FULL_CONFIG,
-    scheduler: str = "virtual",
-    pool_size: int = 2,
-    budget: int = DEFAULT_STEP_BUDGET,
+    app: Application, entry: EntryRequest, plan: FaultPlan | None = None, **options
 ) -> ExecutionTrace:
     """Execute one entry request against the application and finalize the trace.
 
@@ -986,18 +1011,9 @@ def run_execution(
     comes from the shared per-execution counter, and the fault plan is
     consulted before delivery. Every RPC is recorded under its final index:
     preliminary stream prefixes are resolved when the RPC is recorded.
+    `options` are those of `run_sequence`.
     """
-    traces = run_sequence(
-        app,
-        [entry],
-        plan,
-        seed=seed,
-        config=config,
-        scheduler=scheduler,
-        pool_size=pool_size,
-        budget=budget,
-    )
-    return traces[0]
+    return run_sequence(app, [entry], plan, **options)[0]
 
 
 def run_sequence(
@@ -1010,8 +1026,10 @@ def run_sequence(
     scheduler: str = "virtual",
     pool_size: int = 2,
     budget: int = DEFAULT_STEP_BUDGET,
+    identities: IdentityTable | None = None,
 ) -> list[ExecutionTrace]:
-    """Run several entry requests sharing one counter state (one functional test)."""
+    """Run several entry requests sharing one counter state (one functional test).
+    `explore` passes the `identities` it shares among its executions."""
     plan = plan if plan is not None else EMPTY_PLAN
     sched = _make_scheduler(scheduler, seed, pool_size)
     execution = _Execution(
@@ -1021,6 +1039,7 @@ def run_sequence(
         scheduler=sched,
         seed=seed,
         budget=budget,
+        identities=identities or IdentityTable(app, config),
     )
     traces = []
     try:

@@ -191,9 +191,14 @@ class TestNestingBound:
 
 
 def one_handler_entry(name: str, body: list) -> dict:
+    """Service `a` runs `body` as its entry handler; `b.get(x)` is a target
+    for its RPCs and streams."""
     return {
         "name": name,
-        "services": [{"name": "a", "endpoints": [{"method": "go", "params": [], "body": body}]}],
+        "services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": body}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [{"name": "x"}], "body": []}]},
+        ],
         "entry": {"service": "a", "method": "go", "args": {}},
     }
 
@@ -202,9 +207,13 @@ def assign(var: str, value) -> dict:
     return {"op": "assign", "var": var, "value": {"const": value}}
 
 
+SPAWN_FS = {"op": "spawn", "futures": "fs", "line": 2, "body": []}
+
+
 class TestCorpusValues:
     """A corpus program that uses a value as the wrong kind ends its handler
-    with a service error; a misplaced break ends the run with one error line."""
+    with a service error; a misplaced break, or a futures list or stream sent
+    across an RPC boundary, ends the run with one stable error line."""
 
     @pytest.mark.parametrize(
         "body,error",
@@ -220,9 +229,18 @@ class TestCorpusValues:
             ([{"op": "loop", "var": "i", "in": {"const": [1]}, "line": 2, "body": [
                 {"op": "spawn", "futures": "fs", "line": 3, "body": [{"op": "break"}]}]},
               {"op": "await_all", "futures": "fs", "line": 4}], "break outside a loop in a.go"),
+            ([SPAWN_FS, {"op": "return", "value": {"var": "fs"}}],
+             "a.go returns a futures list, which cannot cross an RPC boundary"),
+            ([SPAWN_FS, {"op": "rpc", "service": "b", "method": "get", "line": 3,
+                         "args": {"x": {"var": "fs"}}}],
+             "argument 'x' of b.get holds a futures list, which cannot cross an RPC boundary"),
+            ([{"op": "open_stream", "service": "b", "method": "get", "line": 2, "assign": "st"},
+              {"op": "return", "value": {"var": "st"}}],
+             "a.go returns a stream, which cannot cross an RPC boundary"),
         ],
         ids=["await-str", "await-ints", "loop-int", "join-int", "first-int", "append-str",
-             "spawn-str", "break", "break-in-block"],
+             "spawn-str", "break", "break-in-block", "return-futures", "rpc-arg-futures",
+             "return-stream"],
     )
     def test_no_traceback(self, tmp_path, body, error):
         (tmp_path / "probe.json").write_text(json.dumps(one_handler_entry("probe", body)))

@@ -4,6 +4,7 @@ prefixes, projection, and the wire encoding."""
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,12 @@ from dexi.indexing import (
     CallStackPolicy,
     CounterState,
     DecodeError,
+    DistributedExecutionIndex,
     EMPTY_INDEX,
     EMPTY_PAYLOAD,
     EMPTY_STACK,
     FULL_CONFIG,
+    IndexEntry,
     InstantiationConfig,
     InvalidCountError,
     InvocationPayload,
@@ -168,6 +171,31 @@ class TestDeiExtend:
     def test_count_zero_rejected(self):
         with pytest.raises(InvalidCountError):
             dei_extend(EMPTY_INDEX, inv("W", 9), 0)
+
+
+class TestIndexHash:
+    def test_equal_indexes_hash_equal(self):
+        dei = dei_extend(dei_extend(EMPTY_INDEX, inv("H", 9), 1), inv("W", 29), 2)
+        marked = DistributedExecutionIndex(
+            dei.entries[:-1] + (replace(dei.last, preliminary=True),)
+        )
+        for other in (decode(encode(dei)), marked):
+            assert other == dei
+            assert hash(other) == hash(dei)
+            assert hash(other.last) == hash(dei.last)
+
+    def test_replace_recomputes_hash(self):
+        dei = dei_extend(EMPTY_INDEX, inv("H", 9), 1)
+        entry = replace(dei.last, count=2)
+        fresh = IndexEntry(
+            entry.signature_digest, entry.payload_digest, entry.callstack_digest, 2
+        )
+        assert entry == fresh and hash(entry) == hash(fresh)
+        assert hash(entry) != hash(dei.last)
+        moved = replace(dei, entries=(entry,))
+        assert moved == DistributedExecutionIndex((fresh,))
+        assert hash(moved) == hash(DistributedExecutionIndex((fresh,)))
+        assert hash(moved) != hash(dei)
 
 
 class TestIsPrefix:

@@ -21,3 +21,17 @@ def test_nested_reduction_quick_run_passes_its_gates():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+
+
+def test_traced_quick_run_hooks_every_layer():
+    # The per-layer tracer wraps dexi's functions by name: a rename in the
+    # hot path must show up here, not as a silently missing number.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fanout-explore", "--quick",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, context, result = proc.stdout.strip().splitlines()
+    assert json.loads(result)["correct"] is True
+    assert json.loads(context)["unhooked"] == []

@@ -3,6 +3,7 @@ budgets, and trace invariants."""
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
@@ -10,7 +11,15 @@ import threading
 import pytest
 
 from dexi import indexing, simulator
-from dexi.indexing import DexiError, EMPTY_INDEX, config_from_label, decode, encode
+from dexi.experiment import build_hello_world_app, hello_world_entry
+from dexi.indexing import (
+    ArityMismatchError,
+    DexiError,
+    EMPTY_INDEX,
+    config_from_label,
+    decode,
+    encode,
+)
 from dexi.programs import (
     Application,
     Const,
@@ -100,6 +109,64 @@ class TestDigestsComputedOnce:
             calls.clear()
             trace = run_execution(entry.app, entry.entry_request)
             assert len(calls) <= 3 * len(trace.invocation_events()), entry.name
+
+    def test_explore_digests_each_invocation_signature_once(self, monkeypatch):
+        # Identities are interned for the whole exploration, so a repeated
+        # RPC computes no digest.
+        app = build_hello_world_app()
+        entry = hello_world_entry(6)
+        catalog = FaultCatalog.uniform(app)
+        calls = []
+        digest = indexing._digest
+        monkeypatch.setattr(indexing, "_digest", lambda data: calls.append(1) or digest(data))
+        report = explore(app, entry, catalog, budget=100)
+        events = [e for ex in report.executions for e in ex.trace.invocation_events()]
+        distinct = {e.dei.last for e in events}
+        assert len(events) > 3 * len(distinct)
+        assert len(calls) <= 3 * len(distinct)
+
+    def test_equal_values_of_different_types_keep_distinct_payloads(self):
+        # 1 == True == 1.0 in Python, but their canonical bytes differ.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "loop", "var": "v", "in": {"const": [1, True, 1.0]}, "line": 2, "body": [
+                    {"op": "rpc", "service": "b", "method": "get", "line": 3,
+                     "args": {"x": {"var": "v"}}},
+                ]},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [{"name": "x"}], "body": []}]},
+        ]})
+        trace = run_execution(app, EntryRequest(service="a", method="go", args={}))
+        deis = trace.invocation_deis()
+        assert len({d.last.payload_digest for d in deis}) == 3
+        assert [d.last.count for d in deis] == [1, 1, 1]
+
+    def test_identities_do_not_outlive_an_explore(self, corpus, monkeypatch):
+        entry = corpus["figure-5"]
+        catalog = FaultCatalog.uniform(entry.app)
+        explore(entry.app, entry.entry_request, catalog)
+        monkeypatch.setattr(indexing, "_digest", lambda data: "0" * indexing.DIGEST_HEX_LEN)
+        with pytest.raises(DexiError, match="digest collision"):
+            explore(entry.app, entry.entry_request, catalog)
+
+
+class TestFailedBlockGarbage:
+    def test_failed_block_leaves_no_reference_cycle(self):
+        # A block's failure is re-raised where it is awaited; neither the
+        # stored error nor the re-raised one may tie the handle to frames.
+        app = build_hello_world_app()
+        entry = hello_world_entry(3)
+        first = run_execution(app, entry).invocation_deis()[0]
+        plan = FaultPlan({first: FaultSpec()})
+        gc.collect()
+        gc.disable()
+        try:
+            trace = run_execution(app, entry, plan)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert trace.entry_outcome == {"fault": "connection-error"}
+        assert unreachable == 0
 
 
 class TestPathAccumulation:
@@ -438,6 +505,20 @@ class TestEntryValidation:
             run_execution(
                 entry.app, EntryRequest(service="a", method="helloworld", args={"bogus": 1})
             )
+
+    def test_wrong_rpc_args_at_a_known_call_site(self):
+        # Both statements are one call site with equal argument bytes; only
+        # the argument name differs, and it must still be checked.
+        rpc = {"op": "rpc", "service": "b", "method": "get", "line": 3}
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {**rpc, "args": {"x": {"const": 1}}},
+                {**rpc, "args": {"y": {"const": 1}}},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [{"name": "x"}], "body": []}]},
+        ]})
+        with pytest.raises(ArityMismatchError):
+            run_execution(app, EntryRequest(service="a", method="go", args={}))
 
 
 class TestTraceInvariants:
