@@ -10,9 +10,17 @@ from pathlib import Path
 
 from .corpus import CorpusError, load_corpus
 from .experiment import run_nondeterminism_experiment
-from .indexing import CONFIG_LABELS, DexiError, config_from_label
+from .indexing import CONFIG_LABELS, DexiError, DistributedExecutionIndex, config_from_label
 from .search import FaultCatalog, completeness_check, explore
 from .simulator import ExecutionTrace
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write a file; a path that cannot be written is a `DexiError`."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise DexiError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -20,7 +28,7 @@ def _write_json(path: str | None, doc: dict) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_text(Path(path), text)
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -64,12 +72,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         doc["completeness_violations"] = [v.to_json() for v in violations]
         if args.traces_out:
             traces_dir = Path(args.traces_out)
-            traces_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                traces_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise DexiError(f"{traces_dir}: {exc.strerror or exc}") from None
             for i, ex in enumerate(report.executions):
                 lines = ex.trace.to_json_lines()
-                (traces_dir / f"{entry.name}-{i:04d}.jsonl").write_text(
-                    "\n".join(lines) + "\n"
-                )
+                _write_text(traces_dir / f"{entry.name}-{i:04d}.jsonl", "\n".join(lines) + "\n")
         results.append(doc)
     _write_json(args.out, {"config": args.config, "entries": results})
     _print_summary(results)
@@ -107,17 +116,20 @@ def cmd_nondeterminism(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace_file(path: Path) -> ExecutionTrace:
-    return ExecutionTrace.from_json_lines(path.read_text().splitlines())
+def _load_trace_file(
+    path: Path, decoded: dict[str, DistributedExecutionIndex] | None = None
+) -> ExecutionTrace:
+    return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     from .search import reconstruct_graph
 
     traces = []
+    decoded: dict[str, DistributedExecutionIndex] = {}  # each wire text decodes once
     for path in args.traces:
         try:
-            traces.append(_load_trace_file(Path(path)))
+            traces.append(_load_trace_file(Path(path), decoded))
         except (OSError, UnicodeDecodeError, DexiError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2

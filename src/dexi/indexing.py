@@ -253,11 +253,13 @@ class DistributedExecutionIndex:
     The empty sequence denotes the top-level entry point; every prefix of a
     valid index is itself a valid index. An index is its own key: equality
     and hashing compare the entries' digests and counts only, and the hash is
-    computed once, on construction.
+    computed once, on construction. `encode` keeps the wire text in `_wire`
+    on first use; every copy is a new object and computes its own.
     """
 
     entries: tuple[IndexEntry, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _wire: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.entries))
@@ -516,13 +518,17 @@ def encode(dei: DistributedExecutionIndex) -> str:
 
     Grammar: `[` entry (`::` entry)* `]` with
     entry = `sig:<hex>,pay:<hex>,stk:<hex>|<count>`. Equal indexes always
-    encode to identical text.
+    encode to identical text, which is computed once per index object.
     """
-    body = "::".join(
-        f"sig:{e.signature_digest},pay:{e.payload_digest},stk:{e.callstack_digest}|{e.count}"
-        for e in dei.entries
-    )
-    return f"[{body}]"
+    wire = dei._wire
+    if wire is None:
+        body = "::".join(
+            f"sig:{e.signature_digest},pay:{e.payload_digest},stk:{e.callstack_digest}|{e.count}"
+            for e in dei.entries
+        )
+        wire = f"[{body}]"
+        object.__setattr__(dei, "_wire", wire)
+    return wire
 
 
 def decode(text: str, details: Mapping | None = None) -> DistributedExecutionIndex:

@@ -199,22 +199,40 @@ class RpcEvent:
         return doc
 
     @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> RpcEvent:
-        """Rebuild an event from its `to_json` record."""
+    def from_json(
+        cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex] | None = None
+    ) -> RpcEvent:
+        """Rebuild an event from its `to_json` record. `decoded`, when given,
+        maps wire text to the index it was decoded to, and gains new ones."""
         return cls(
             kind=doc["kind"],
             sequence_number=doc["seq"],
             caller=doc.get("caller", ""),
             callee=doc.get("callee", ""),
             method=doc.get("method", ""),
-            dei=indexing.decode(doc["dei"]) if "dei" in doc else None,
+            dei=_decode(doc["dei"], decoded) if "dei" in doc else None,
             preliminary_dei=(
-                indexing.decode(doc["preliminary_dei"]) if "preliminary_dei" in doc else None
+                _decode(doc["preliminary_dei"], decoded) if "preliminary_dei" in doc else None
             ),
             payload=tuple(doc["payload"].items()) if "payload" in doc else None,
             outcome=doc.get("outcome"),
             lineage=tuple(doc.get("task", [])),
         )
+
+
+def _decode(
+    text: str, decoded: dict[str, DistributedExecutionIndex] | None
+) -> DistributedExecutionIndex:
+    if decoded is None or not isinstance(text, str):
+        return indexing.decode(text)
+    dei = decoded.get(text)
+    if dei is None:
+        dei = decoded[text] = indexing.decode(text)
+    return dei
+
+
+# One encoder for every trace line; `json.dumps` would build one per call.
+_TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -252,16 +270,21 @@ class ExecutionTrace:
             "config": vars(self.config),
             "warnings": list(self.warnings),
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(e.to_json(), sort_keys=True) for e in self.events)
+        encode = _TRACE_JSON.encode
+        lines = [encode(header)]
+        lines.extend(encode(e.to_json()) for e in self.events)
         return lines
 
     @classmethod
-    def from_json_lines(cls, lines: Iterable[str]) -> ExecutionTrace:
+    def from_json_lines(
+        cls, lines: Iterable[str], decoded: dict[str, DistributedExecutionIndex] | None = None
+    ) -> ExecutionTrace:
         """Rebuild a trace from the lines `to_json_lines` wrote.
 
         A header without `config` loads as the full instantiation. Malformed
-        input raises `DexiError` naming the offending line.
+        input raises `DexiError` naming the offending line. `decoded` is
+        passed to `RpcEvent.from_json`, so traces loaded together can share
+        their decoded indexes.
         """
         header: dict[str, Any] | None = None
         events = []
@@ -273,7 +296,7 @@ class ExecutionTrace:
                 if not isinstance(doc, dict):
                     raise DexiError("record is not a JSON object")
                 if doc.get("kind") != "trace_header":
-                    events.append(RpcEvent.from_json(doc))
+                    events.append(RpcEvent.from_json(doc, decoded))
                     continue
                 entry = doc["entry"]
                 header = {
@@ -453,8 +476,10 @@ class IdentityTable:
     endpoint, call stacks per call site, and masked invocation signatures per
     call site and canonical argument bytes (not raw values: `1 == True`), so a
     repeated RPC computes no digest. Each new invocation signature is checked
-    for a digest collision. `explore` shares one table among its executions;
-    any other run builds its own."""
+    for a digest collision. Indexes are interned too, one object per distinct
+    index, so each is built, hashed and encoded once; so are the paths that
+    incoming metadata decodes to, one per distinct wire text. `explore`
+    shares one table among its executions; any other run builds its own."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
         self.config = config
@@ -462,6 +487,8 @@ class IdentityTable:
         self._stack = functools.cache(CallStackDigest.from_frames)
         self._invocations: dict[tuple, InvocationSignature] = {}
         self.by_digest: dict[tuple[str, str, str], InvocationSignature] = {}
+        self._indexes: dict[tuple, DistributedExecutionIndex] = {}
+        self._paths: dict[tuple[str | None, str | None], DistributedExecutionIndex] = {}
 
     def invocation(self, service: str, method: str, args: Mapping[str, Any] | None,
                    frames: tuple[tuple[str, str], ...]) -> InvocationSignature:
@@ -487,6 +514,31 @@ class IdentityTable:
                                 "share one digest triple")
             inv = self._invocations[key] = known
         return inv
+
+    def index(self, path: DistributedExecutionIndex, inv: InvocationSignature, count: int,
+              preliminary: bool = False) -> DistributedExecutionIndex:
+        """`dei_extend(path, inv, count)`, with its last entry marked when
+        `preliminary`. Equality ignores the marker, so the key holds the
+        path's: a marked path must not come back as its unmarked twin."""
+        key = (path, path.has_preliminary(), inv.digest_triple(), count, preliminary)
+        dei = self._indexes.get(key)
+        if dei is None:
+            dei = dei_extend(path, inv, count)
+            if preliminary:
+                dei = _mark_last_preliminary(dei)
+            self._indexes[key] = dei
+        return dei
+
+    def path(self, metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
+        """The caller's path that `metadata` carries (see `propagate_context`),
+        decoded once per wire text. An undecodable one is never kept."""
+        if metadata is None:
+            return EMPTY_INDEX
+        key = (metadata.get(INDEX_METADATA_KEY), metadata.get(PRELIMINARY_METADATA_KEY))
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = propagate_context(metadata, self.by_digest)
+        return path
 
 
 def _check_crossable(value: Any, what: str) -> None:
@@ -603,9 +655,9 @@ class _Execution:
                 )
         if not self.config.include_count:
             count = 1
-        dei = dei_extend(id_path, id_inv, count)
+        dei = self.identities.index(id_path, id_inv, count, preliminary)
         if preliminary:
-            return _mark_last_preliminary(dei)
+            return dei
         with self._lock:
             collided = dei in self.assigned
             self.assigned.add(dei)
@@ -634,7 +686,7 @@ class _Execution:
         lineage: tuple[int, ...],
     ) -> Any:
         endpoint = self.app.endpoint(service, method)
-        path = propagate_context(metadata, self.identities.by_digest)
+        path = self.identities.path(metadata)
         scope = {name: args[name] for name, _ in endpoint.params}
         ctx = _HandlerCtx(self.app.services[service], method, scope, (), path, lineage)
         try:
@@ -731,7 +783,7 @@ class _Execution:
         # Claim and append are one step: the rewrite log stays in count order.
         with self._lock:
             count, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
-            implicit = _mark_last_preliminary(dei_extend(base_path, base.detail, count))
+            implicit = self.identities.index(base_path, base.detail, count, preliminary=True)
             stream.pairs.append((implicit, final))
             self.rewrites[implicit] = final
         return implicit
@@ -793,9 +845,10 @@ class _Execution:
 
     def eval_expr(self, ctx: _HandlerCtx, expr: Expr) -> Any:
         if isinstance(expr, Const):
-            # Constants may be mutable (lists a program appends to); hand out
-            # a copy so no state leaks between statements or executions.
-            return copy.deepcopy(expr.value)
+            # Lists and maps are mutable (a program appends to lists); hand
+            # out a copy so no state leaks between statements or executions.
+            value = expr.value
+            return copy.deepcopy(value) if isinstance(value, (list, dict)) else value
         if isinstance(expr, Var):
             if expr.name not in ctx.scope:
                 raise HandlerAbort("service-error")

@@ -122,6 +122,31 @@ class TestGraph:
             ("users", "movies"),
         }
 
+    def test_graph_decodes_each_wire_text_once(self, tmp_path, monkeypatch):
+        from dexi import indexing
+        from dexi.search import reconstruct_graph
+        from dexi.simulator import ExecutionTrace
+
+        traces_dir = tmp_path / "traces"
+        argv = ["explore", "--entry", "cinema-10", "--out", tmp_path / "r.json",
+                "--traces-out", traces_dir]
+        assert run_cli(argv) == 0
+        files = sorted(traces_dir.glob("*.jsonl"))
+        texts = []
+        decode = indexing.decode
+        monkeypatch.setattr(
+            indexing, "decode", lambda text, *args: texts.append(text) or decode(text, *args)
+        )
+        out = tmp_path / "graph.json"
+        assert run_cli(["graph", *files, "--out", out]) == 0
+        assert texts and len(texts) == len(set(texts))
+        # The same graph as traces loaded one by one, without sharing.
+        monkeypatch.setattr(indexing, "decode", decode)
+        graph = reconstruct_graph(
+            [ExecutionTrace.from_json_lines(f.read_text().splitlines()) for f in files]
+        )
+        assert out.read_text() == json.dumps(graph.to_json(), sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -141,6 +166,46 @@ class TestGraph:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {bad}: line ")
+
+
+class TestUnwritablePaths:
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    @pytest.mark.parametrize("command", [
+        ["explore", "--entry", "cinema-3"],
+        ["nondeterminism", "--n", "2", "--iterations", "2"],
+        ["graph"],
+    ], ids=["explore", "nondeterminism", "graph"])
+    def test_out_path_is_one_error_line(self, tmp_path, capfd, command, where):
+        if command == ["graph"]:
+            trace_dir = tmp_path / "traces"
+            assert run_cli(["explore", "--entry", "cinema-3", "--out", tmp_path / "r.json",
+                            "--traces-out", trace_dir]) == 0
+            command = ["graph", *sorted(trace_dir.glob("*.jsonl"))]
+            capfd.readouterr()
+        out = tmp_path / "no" / "such" / "r.json" if where == "missing-dir" else tmp_path
+        assert run_cli([*command, "--out", out]) == 2
+        errors = [line for line in capfd.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {out}: ")
+
+    def test_traces_out_is_a_file(self, tmp_path, capfd):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["explore", "--entry", "cinema-3", "--out", tmp_path / "r.json",
+                "--traces-out", taken]
+        assert run_cli(argv) == 2
+        err = capfd.readouterr().err
+        assert err.splitlines() == [f"error: {taken}: File exists"]
+
+    def test_cli_subprocess_prints_no_traceback(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(dexi.__file__).parent.parent)}
+        out = tmp_path / "no" / "such" / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dexi.cli", "explore", "--entry", "cinema-3", "--out", out],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {out}: No such file or directory"]
+        assert not proc.stdout
 
 
 def self_rpc_entry(name: str, nested: bool) -> dict:

@@ -36,6 +36,7 @@ from dexi.indexing import (
     project,
     project_assignment,
 )
+from dexi.simulator import _mark_last_preliminary
 
 ECHO_SIG = Signature("b", "echo", (("s", "String"),))
 
@@ -196,6 +197,29 @@ class TestIndexHash:
         assert moved == DistributedExecutionIndex((fresh,))
         assert hash(moved) == hash(DistributedExecutionIndex((fresh,)))
         assert hash(moved) != hash(dei)
+
+
+    def test_encode_never_stale(self):
+        # `encode` keeps each index's text; every copy must compute its own.
+        def wire(dei):
+            return "[" + "::".join(
+                f"sig:{e.signature_digest},pay:{e.payload_digest},"
+                f"stk:{e.callstack_digest}|{e.count}" for e in dei.entries
+            ) + "]"
+
+        dei = dei_extend(dei_extend(EMPTY_INDEX, inv("H", 9), 1), inv("W", 29), 2)
+        assert encode(dei) == wire(dei)
+        copies = [
+            dei_extend(dei, inv("X", 31), 3),
+            decode(encode(dei)),
+            replace(dei, entries=dei.entries[:1]),
+            replace(dei, entries=(replace(dei.last, count=7),)),
+            _mark_last_preliminary(dei),
+        ]
+        for copy in copies:
+            assert encode(dei) == wire(dei)
+            assert encode(copy) == wire(copy)
+        assert len({encode(c) for c in copies}) == 4
 
 
 class TestIsPrefix:

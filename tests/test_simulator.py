@@ -150,6 +150,78 @@ class TestDigestsComputedOnce:
             explore(entry.app, entry.entry_request, catalog)
 
 
+class TestIndexesInterned:
+    """Within one exploration each distinct index is one object, built once,
+    and each distinct metadata text is decoded once."""
+
+    def explore_fanout(self):
+        app = build_hello_world_app()
+        return explore(app, hello_world_entry(6), FaultCatalog.uniform(app), budget=100)
+
+    def test_each_index_extended_once(self, monkeypatch):
+        calls = []
+        extend = simulator.dei_extend
+        monkeypatch.setattr(
+            simulator, "dei_extend", lambda *args: calls.append(1) or extend(*args)
+        )
+        report = self.explore_fanout()
+        distinct = {d for ex in report.executions for d in ex.trace.invocation_deis()}
+        assert len(report.executions) == 64
+        assert 0 < len(calls) <= len(distinct)
+
+    def test_same_rpc_same_object_across_executions(self):
+        first, second = self.explore_fanout().executions[:2]
+        by_value = {d: d for d in first.trace.invocation_deis()}
+        deis = second.trace.invocation_deis()
+        assert deis and all(by_value[d] is d for d in deis)
+
+    def test_each_metadata_text_decoded_once(self, monkeypatch):
+        texts = []
+        decode = indexing.decode
+        monkeypatch.setattr(
+            indexing, "decode", lambda text, *args: texts.append(text) or decode(text, *args)
+        )
+        self.explore_fanout()
+        assert texts and len(texts) == len(set(texts))
+
+
+    def test_marked_path_never_comes_back_unmarked(self):
+        # Equality ignores the preliminary marker; the table must not.
+        table = simulator.IdentityTable(build_hello_world_app(), indexing.FULL_CONFIG)
+        inv = table.invocation("world", "get", {"tag": "t"}, (("hello.py:6", "go"),))
+        path = table.index(EMPTY_INDEX, inv, 1)
+        marked = table.index(EMPTY_INDEX, inv, 1, preliminary=True)
+        assert marked == path and marked.last.preliminary and not path.last.preliminary
+        child, marked_child = (table.index(p, inv, 1) for p in (path, marked))
+        assert child == marked_child and child is not marked_child
+        assert marked_child.has_preliminary() and not child.has_preliminary()
+
+
+class TestConstants:
+    def const_app(self, value, *body) -> Application:
+        return parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "assign", "var": "xs", "value": {"const": value}},
+                *body,
+                {"op": "return", "value": {"var": "xs"}},
+            ]}]},
+        ]})
+
+    def test_appending_to_a_constant_list_leaves_it_empty(self):
+        app = self.const_app([], {"op": "append", "list": "xs", "value": {"const": "x"}})
+        entry = EntryRequest(service="a", method="go", args={})
+        first, second = (run_execution(app, entry).entry_outcome for _ in range(2))
+        assert first == second == {"value": ["x"]}
+
+    def test_nested_constant_list_never_shared(self):
+        app = self.const_app([[1], {"k": [2]}])
+        entry = EntryRequest(service="a", method="go", args={})
+        first, second = (run_execution(app, entry).entry_outcome["value"] for _ in range(2))
+        assert first == second == [[1], {"k": [2]}]
+        assert first[0] is not second[0]
+        assert first[1]["k"] is not second[1]["k"]
+
+
 class TestFailedBlockGarbage:
     def test_failed_block_leaves_no_reference_cycle(self):
         # A block's failure is re-raised where it is awaited; neither the
