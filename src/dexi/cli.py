@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .corpus import CorpusError, load_corpus
@@ -15,12 +17,13 @@ from .search import FaultCatalog, completeness_check, explore
 from .simulator import ExecutionTrace
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write a file; a path that cannot be written is a `DexiError`."""
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Report an output path dexi cannot write as a `DexiError` naming it."""
     try:
-        path.write_text(text)
+        yield
     except OSError as exc:
-        raise DexiError(f"{path}: {exc.strerror or exc}") from None
+        raise DexiError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -28,7 +31,8 @@ def _write_json(path: str | None, doc: dict) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        _write_text(Path(path), text)
+        with _writing(Path(path)):
+            Path(path).write_text(text)
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -72,13 +76,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
         doc["completeness_violations"] = [v.to_json() for v in violations]
         if args.traces_out:
             traces_dir = Path(args.traces_out)
-            try:
+            with _writing(traces_dir):
                 traces_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise DexiError(f"{traces_dir}: {exc.strerror or exc}") from None
-            for i, ex in enumerate(report.executions):
-                lines = ex.trace.to_json_lines()
-                _write_text(traces_dir / f"{entry.name}-{i:04d}.jsonl", "\n".join(lines) + "\n")
+                for i, ex in enumerate(report.executions):
+                    lines = ex.trace.to_json_lines()
+                    path = traces_dir / f"{entry.name}-{i:04d}.jsonl"
+                    path.write_text("\n".join(lines) + "\n")
         results.append(doc)
     _write_json(args.out, {"config": args.config, "entries": results})
     _print_summary(results)

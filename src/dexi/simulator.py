@@ -200,10 +200,10 @@ class RpcEvent:
 
     @classmethod
     def from_json(
-        cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex] | None = None
+        cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex]
     ) -> RpcEvent:
-        """Rebuild an event from its `to_json` record. `decoded`, when given,
-        maps wire text to the index it was decoded to, and gains new ones."""
+        """Rebuild an event from its `to_json` record. `decoded` maps wire
+        text to the index it was decoded to, and gains new ones."""
         return cls(
             kind=doc["kind"],
             sequence_number=doc["seq"],
@@ -220,11 +220,9 @@ class RpcEvent:
         )
 
 
-def _decode(
-    text: str, decoded: dict[str, DistributedExecutionIndex] | None
-) -> DistributedExecutionIndex:
-    if decoded is None or not isinstance(text, str):
-        return indexing.decode(text)
+def _decode(text: str, decoded: dict[str, DistributedExecutionIndex]) -> DistributedExecutionIndex:
+    if not isinstance(text, str):
+        return indexing.decode(text)  # raises DecodeError
     dei = decoded.get(text)
     if dei is None:
         dei = decoded[text] = indexing.decode(text)
@@ -282,10 +280,11 @@ class ExecutionTrace:
         """Rebuild a trace from the lines `to_json_lines` wrote.
 
         A header without `config` loads as the full instantiation. Malformed
-        input raises `DexiError` naming the offending line. `decoded` is
-        passed to `RpcEvent.from_json`, so traces loaded together can share
-        their decoded indexes.
+        input raises `DexiError` naming the offending line. Each distinct
+        wire text is decoded once; pass one `decoded` dict to traces loaded
+        together to share their decoded indexes.
         """
+        decoded = {} if decoded is None else decoded
         header: dict[str, Any] | None = None
         events = []
         for number, line in enumerate(lines, 1):

@@ -625,6 +625,20 @@ class TestTraceInvariants:
         assert loaded.to_json_lines() == trace.to_json_lines()
         assert loaded.config == config
 
+    def test_loading_a_trace_decodes_each_wire_text_once(self, corpus, monkeypatch):
+        # Each stream message records its preliminary index beside the final
+        # one, so the trace repeats wire texts.
+        entry = corpus["figure-6-stream"]
+        lines = run_execution(entry.app, entry.entry_request).to_json_lines()
+        texts = []
+        decode = indexing.decode
+        monkeypatch.setattr(
+            indexing, "decode", lambda text, *args: texts.append(text) or decode(text, *args)
+        )
+        loaded = ExecutionTrace.from_json_lines(lines)
+        assert texts and len(texts) == len(set(texts))
+        assert loaded.to_json_lines() == lines
+
     def test_preliminary_index_never_survives(self, monkeypatch):
         # A stream message's handler calls out under the message's
         # preliminary index; with rewrites switched off, that index reaches
