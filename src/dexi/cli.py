@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -78,6 +79,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
             traces_dir = Path(args.traces_out)
             with _writing(traces_dir):
                 traces_dir.mkdir(parents=True, exist_ok=True)
+                # An earlier run's files for this entry would mix with these
+                # in `dexi graph DIR/*.jsonl`; other files stay.
+                stale = re.compile(rf"{re.escape(entry.name)}-\d{{4,}}\.jsonl")
+                for path in traces_dir.iterdir():
+                    if stale.fullmatch(path.name):
+                        path.unlink()
                 for i, ex in enumerate(report.executions):
                     lines = ex.trace.to_json_lines()
                     path = traces_dir / f"{entry.name}-{i:04d}.jsonl"

@@ -53,6 +53,13 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=DIGEST_BYTES).hexdigest()
 
 
+# One encoder for every call: `json.dumps` with these options builds one per
+# call, and canonical bytes are taken for every RPC argument.
+_CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
+
+
 def canonical_bytes(value: Any) -> bytes:
     """Serialize a JSON-like value to its canonical byte form.
 
@@ -61,9 +68,7 @@ def canonical_bytes(value: Any) -> bytes:
     so equal logical values always produce identical bytes.
     """
     try:
-        text = json.dumps(
-            value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-        )
+        text = _CANONICAL_JSON.encode(value)
     except (TypeError, ValueError) as exc:
         raise CanonicalizationError(f"value has no canonical form: {value!r}") from exc
     return text.encode("utf-8")
@@ -253,16 +258,19 @@ class DistributedExecutionIndex:
     The empty sequence denotes the top-level entry point; every prefix of a
     valid index is itself a valid index. An index is its own key: equality
     and hashing compare the entries' digests and counts only, and the hash is
-    computed once, on construction. `encode` keeps the wire text in `_wire`
-    on first use; every copy is a new object and computes its own.
+    computed once, on construction, as is whether an entry is preliminary.
+    `encode` keeps the wire text in `_wire` on first use; every copy is a new
+    object and computes its own.
     """
 
     entries: tuple[IndexEntry, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _preliminary: bool = field(init=False, repr=False, compare=False)
     _wire: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.entries))
+        object.__setattr__(self, "_preliminary", any(e.preliminary for e in self.entries))
 
     def __hash__(self) -> int:
         return self._hash
@@ -286,7 +294,7 @@ class DistributedExecutionIndex:
         return DistributedExecutionIndex(self.entries[:-1])
 
     def has_preliminary(self) -> bool:
-        return any(e.preliminary for e in self.entries)
+        return self._preliminary
 
     def render(self) -> str:
         return "[" + " :: ".join(e.render() for e in self.entries) + "]"

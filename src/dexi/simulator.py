@@ -23,7 +23,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import indexing
 from .indexing import (
@@ -69,6 +69,7 @@ from .programs import (
     Raise,
     Return,
     Rpc,
+    ServiceProgram,
     Spawn,
     Stmt,
     StreamSend,
@@ -155,13 +156,14 @@ class FaultPlan:
 EMPTY_PLAN = FaultPlan()
 
 
-@dataclass(frozen=True, slots=True)
-class RpcEvent:
-    """One recorded step of an execution.
+class RpcEvent(NamedTuple):
+    """One recorded step of an execution, an immutable record.
 
     `lineage` is the task path of the recording task (empty for the root);
     two events are causally ordered only when one lineage prefixes the other.
-    Slotted, because a search report keeps every event of every execution.
+    A tuple, because a search report keeps every event of every execution and
+    an execution records one or two per RPC: it is built in one step, where a
+    frozen dataclass sets each field apart.
     """
 
     kind: str  # invocation | fault_injected | completion | stream_opened | index_rewritten
@@ -335,16 +337,6 @@ class HandlerAbort(Exception):
         self.descriptor = {"fault": fault_type}
 
 
-class _BreakSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any) -> None:
-        super().__init__()
-        self.value = value
-
-
 # ---------------------------------------------------------------------------
 # Schedulers
 
@@ -477,8 +469,9 @@ class IdentityTable:
     repeated RPC computes no digest. Each new invocation signature is checked
     for a digest collision. Indexes are interned too, one object per distinct
     index, so each is built, hashed and encoded once; so are the paths that
-    incoming metadata decodes to, one per distinct wire text. `explore`
-    shares one table among its executions; any other run builds its own."""
+    incoming metadata decodes to, one per distinct wire text, and the task
+    paths of spawned blocks. `explore` shares one table among its
+    executions; any other run builds its own."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
         self.config = config
@@ -488,15 +481,16 @@ class IdentityTable:
         self.by_digest: dict[tuple[str, str, str], InvocationSignature] = {}
         self._indexes: dict[tuple, DistributedExecutionIndex] = {}
         self._paths: dict[tuple[str | None, str | None], DistributedExecutionIndex] = {}
+        self._lineages: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def invocation(self, service: str, method: str, args: Mapping[str, Any] | None,
                    frames: tuple[tuple[str, str], ...]) -> InvocationSignature:
         """The masked invocation signature of an RPC from the call stack
         `frames`; `args` is None for a stream's open, whose payload is empty."""
         try:
-            key = (service, method, frames, None if args is None else tuple(
+            key = (service, method, frames, None if args is None else tuple([
                 (name, indexing.canonical_bytes(value)) for name, value in args.items()
-            ))
+            ]))
         except CanonicalizationError:
             for name, value in args.items():
                 _check_crossable(value, f"argument {name!r} of {service}.{method} holds")
@@ -528,6 +522,12 @@ class IdentityTable:
             self._indexes[key] = dei
         return dei
 
+    def lineage(self, parent: tuple[int, ...], ordinal: int) -> tuple[int, ...]:
+        """The task path of `parent`'s spawned block number `ordinal`; every
+        event of the block keeps it."""
+        lineage = parent + (ordinal,)
+        return self._lineages.setdefault(lineage, lineage)
+
     def path(self, metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
         """The caller's path that `metadata` carries (see `propagate_context`),
         decoded once per wire text. An undecodable one is never kept."""
@@ -551,34 +551,22 @@ def _check_crossable(value: Any, what: str) -> None:
 
 
 class _HandlerCtx:
-    """Per-handler interpreter state: variables, frames, path, task lineage."""
+    """Per-handler interpreter state: service name, variables, frames, path,
+    task lineage and the streams the handler opened."""
 
-    __slots__ = ("service", "symbol", "scope", "frames", "path", "lineage", "streams")
+    __slots__ = ("service", "scope", "frames", "path", "lineage", "streams")
 
-    def __init__(self, service, symbol, scope, frames, path, lineage):
+    def __init__(self, service, scope, frames, path, lineage, streams):
         self.service = service
-        self.symbol = symbol
         self.scope = scope
         self.frames = frames
         self.path = path
         self.lineage = lineage
-        self.streams: list[_Stream] = []
+        self.streams = streams
 
-    def child(self, symbol=None, scope=None, frames=None, lineage=None) -> "_HandlerCtx":
-        ctx = _HandlerCtx(
-            self.service,
-            symbol if symbol is not None else self.symbol,
-            scope if scope is not None else self.scope,
-            frames if frames is not None else self.frames,
-            self.path,
-            lineage if lineage is not None else self.lineage,
-        )
-        ctx.streams = self.streams
-        return ctx
-
-    def frames_at(self, line: int) -> tuple[tuple[str, str], ...]:
-        """The call stack of a statement at `line` of this handler."""
-        return self.frames + ((f"{self.service.source_file}:{line}", self.symbol),)
+    def child(self, scope, frames, lineage=None) -> "_HandlerCtx":
+        return _HandlerCtx(self.service, scope, frames, self.path,
+                           self.lineage if lineage is None else lineage, self.streams)
 
 
 class _Execution:
@@ -593,6 +581,7 @@ class _Execution:
         identities: IdentityTable,
     ) -> None:
         self.app = app
+        self.endpoints = _compiled_endpoints(app)
         self.plan = plan
         self.config = config
         self.identities = identities
@@ -618,11 +607,15 @@ class _Execution:
                     f"execution exceeded its step budget of {self.budget}"
                 )
 
-    def record(self, **kwargs) -> RpcEvent:
+    def record(self, kind: str, caller: str, callee: str, method: str,
+               dei: DistributedExecutionIndex | None = None,
+               preliminary_dei: DistributedExecutionIndex | None = None,
+               payload: tuple[tuple[str, Any], ...] | None = None,
+               outcome: dict[str, Any] | None = None,
+               lineage: tuple[int, ...] = ()) -> None:
         with self._lock:
-            event = RpcEvent(sequence_number=next(self._seq), **kwargs)
-            self.events.append(event)
-        return event
+            self.events.append(RpcEvent._make((kind, next(self._seq), caller, callee, method,
+                                               dei, preliminary_dei, payload, outcome, lineage)))
 
     def warn(self, message: str) -> None:
         with self._lock:
@@ -684,13 +677,15 @@ class _Execution:
         metadata: Mapping[str, str] | None,
         lineage: tuple[int, ...],
     ) -> Any:
-        endpoint = self.app.endpoint(service, method)
+        endpoint = self.endpoints.get((service, method))
+        if endpoint is None:
+            self.app.endpoint(service, method)  # raises the ProgramError naming it
         path = self.identities.path(metadata)
-        scope = {name: args[name] for name, _ in endpoint.params}
-        ctx = _HandlerCtx(self.app.services[service], method, scope, (), path, lineage)
+        ctx = _HandlerCtx(endpoint.service, {name: args[name] for name in endpoint.params},
+                          (), path, lineage, [])
         try:
-            value = self._run_callable(ctx, endpoint.body)
-            _check_crossable(value, f"{service}.{method} returns")
+            value = endpoint.run(self, ctx)
+            _check_crossable(value, endpoint.returns)
             return value
         finally:
             for stream in ctx.streams:
@@ -722,26 +717,13 @@ class _Execution:
         implicit = None
         if stream is not None and spec is None:
             implicit = self._stream_message_index(ctx, stream, final)
-        self.record(
-            kind="invocation",
-            caller=ctx.service.name,
-            callee=callee,
-            method=method,
-            dei=final,
-            preliminary_dei=implicit,
-            payload=tuple((name, args[name]) for name, _ in inv.signature.parameters),
-            lineage=ctx.lineage,
-        )
+        caller = ctx.service
+        self.record("invocation", caller, callee, method, final, implicit,
+                    tuple([(name, args[name]) for name, _ in inv.signature.parameters]),
+                    lineage=ctx.lineage)
         if spec is not None:
-            self.record(
-                kind="fault_injected",
-                caller=ctx.service.name,
-                callee=callee,
-                method=method,
-                dei=final,
-                outcome=spec.descriptor(),
-                lineage=ctx.lineage,
-            )
+            self.record("fault_injected", caller, callee, method, final,
+                        outcome=spec.descriptor(), lineage=ctx.lineage)
             if spec.mode == "response":
                 return spec.response
             raise RpcFailure(spec.descriptor())
@@ -754,15 +736,8 @@ class _Execution:
             failed = False
         except (RpcFailure, HandlerAbort) as exc:
             outcome, failed = dict(exc.descriptor), True
-        self.record(
-            kind="completion",
-            caller=ctx.service.name,
-            callee=callee,
-            method=method,
-            dei=final,
-            outcome=outcome,
-            lineage=ctx.lineage,
-        )
+        self.record("completion", caller, callee, method, final,
+                    outcome=outcome, lineage=ctx.lineage)
         if failed:
             # The callee's unhandled failure surfaces at this call site as a
             # failure of this RPC, with the same descriptor.
@@ -787,19 +762,14 @@ class _Execution:
             self.rewrites[implicit] = final
         return implicit
 
-    def open_stream(self, ctx: _HandlerCtx, stmt: OpenStream) -> _Stream:
-        inv = self.identities.invocation(stmt.service, stmt.method, None, ctx.frames_at(stmt.line))
+    def open_stream(self, ctx: _HandlerCtx, callee: str, method: str,
+                    frames: tuple[tuple[str, str], ...]) -> _Stream:
+        inv = self.identities.invocation(callee, method, None, frames)
         base = self.assign_index(ctx, inv, preliminary=True)
-        stream = _Stream(stmt.service, stmt.method, base)
+        stream = _Stream(callee, method, base)
         ctx.streams.append(stream)
-        self.record(
-            kind="stream_opened",
-            caller=ctx.service.name,
-            callee=stmt.service,
-            method=stmt.method,
-            preliminary_dei=base,
-            lineage=ctx.lineage,
-        )
+        self.record("stream_opened", ctx.service, callee, method,
+                    preliminary_dei=base, lineage=ctx.lineage)
         return stream
 
     def stream_send(
@@ -831,157 +801,57 @@ class _Execution:
             stream.open = False
             pairs = list(stream.pairs)
         for implicit, final in pairs:
-            self.record(
-                kind="index_rewritten",
-                caller="",
-                callee=stream.callee,
-                method=stream.method,
-                dei=final,
-                preliminary_dei=implicit,
-            )
+            self.record("index_rewritten", "", stream.callee, stream.method, final, implicit)
 
-    # -- interpreter
 
-    def eval_expr(self, ctx: _HandlerCtx, expr: Expr) -> Any:
-        if isinstance(expr, Const):
-            # Lists and maps are mutable (a program appends to lists); hand
-            # out a copy so no state leaks between statements or executions.
-            value = expr.value
-            return copy.deepcopy(value) if isinstance(value, (list, dict)) else value
-        if isinstance(expr, Var):
-            if expr.name not in ctx.scope:
-                raise HandlerAbort("service-error")
-            return ctx.scope[expr.name]
-        if isinstance(expr, Concat):
-            return "".join(str(self.eval_expr(ctx, p)) for p in expr.parts)
-        if isinstance(expr, Join):
-            items = _as_list(self.eval_expr(ctx, expr.items))
-            return expr.sep.join(str(i) for i in items)
-        if isinstance(expr, ListExpr):
-            return [self.eval_expr(ctx, p) for p in expr.items]
-        if isinstance(expr, First):
-            items = _as_list(self.eval_expr(ctx, expr.items))
-            if not items:
-                raise HandlerAbort("service-error")
-            return items[0]
-        if isinstance(expr, IsSet):
-            return expr.name in ctx.scope
-        if isinstance(expr, Not):
-            return not self.eval_expr(ctx, expr.inner)
-        if isinstance(expr, Eq):
-            return self.eval_expr(ctx, expr.left) == self.eval_expr(ctx, expr.right)
-        raise DexiError(f"unhandled expression {expr!r}")
+# ---------------------------------------------------------------------------
+# Compiled programs
+#
+# Every body compiles once per application into closures. A body takes one
+# step of the execution's budget before each statement it runs. A statement
+# is `run(ex, ctx)`: it does its work and returns `_NEXT`, `_BREAK`, or the
+# value of the `return` it reached. An expression is `value(ctx)`. Call
+# sites, argument names and each call site's stack frame are resolved when
+# compiling.
 
-    def exec_body(self, ctx: _HandlerCtx, body: tuple[Stmt, ...]) -> None:
-        for stmt in body:
-            self.exec_stmt(ctx, stmt)
+_NEXT = object()
+_BREAK = object()
 
-    def exec_stmt(self, ctx: _HandlerCtx, stmt: Stmt) -> None:
-        self.step()
-        if isinstance(stmt, Assign):
-            ctx.scope[stmt.var] = self.eval_expr(ctx, stmt.value)
-        elif isinstance(stmt, Append):
-            items = _as_list(ctx.scope.setdefault(stmt.list_var, []))
-            items.append(self.eval_expr(ctx, stmt.value))
-        elif isinstance(stmt, Rpc):
-            args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            value = self.invoke_rpc(ctx, stmt.service, stmt.method, args, ctx.frames_at(stmt.line))
-            if stmt.assign:
-                ctx.scope[stmt.assign] = value
-        elif isinstance(stmt, CallHelper):
-            helper = ctx.service.helpers[stmt.helper]
-            args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            child = ctx.child(symbol=stmt.helper, scope=dict(args), frames=ctx.frames_at(stmt.line))
-            value = self._run_callable(child, helper.body)
-            if stmt.assign:
-                ctx.scope[stmt.assign] = value
-        elif isinstance(stmt, Loop):
-            items = _as_list(self.eval_expr(ctx, stmt.items))
-            try:
-                for item in items:
-                    ctx.scope[stmt.var] = item
-                    self.exec_body(ctx, stmt.body)
-            except _BreakSignal:
-                pass
-        elif isinstance(stmt, If):
-            branch = stmt.then if self.eval_expr(ctx, stmt.cond) else stmt.orelse
-            self.exec_body(ctx, branch)
-        elif isinstance(stmt, Try):
-            try:
-                self.exec_body(ctx, stmt.body)
-            except RpcFailure:
-                self.exec_body(ctx, stmt.catch)
-        elif isinstance(stmt, Break):
-            raise _BreakSignal()
-        elif isinstance(stmt, Return):
-            raise _ReturnSignal(self.eval_expr(ctx, stmt.value))
-        elif isinstance(stmt, Raise):
-            raise HandlerAbort(stmt.message)
-        elif isinstance(stmt, Spawn):
-            self._exec_spawn(ctx, stmt)
-        elif isinstance(stmt, AwaitAll):
-            self._exec_await(ctx, stmt)
-        elif isinstance(stmt, OpenStream):
-            ctx.scope[stmt.assign] = self.open_stream(ctx, stmt)
-        elif isinstance(stmt, StreamSend):
-            stream = ctx.scope.get(stmt.stream)
-            if not isinstance(stream, _Stream):
-                raise StreamStateError(f"variable {stmt.stream!r} is not an open stream")
-            args = {name: self.eval_expr(ctx, expr) for name, expr in stmt.args}
-            value = self.stream_send(ctx, stream, args, ctx.frames_at(stmt.line))
-            if stmt.assign:
-                ctx.scope[stmt.assign] = value
-        elif isinstance(stmt, CloseStream):
-            stream = ctx.scope.get(stmt.stream)
-            if not isinstance(stream, _Stream):
-                raise StreamStateError(f"variable {stmt.stream!r} is not an open stream")
-            self.finalize_stream(stream)
-        else:
-            raise DexiError(f"unhandled statement {stmt!r}")
+# Concurrent blocks start on a fresh call stack, the way a task handed to an
+# executor would; the dispatch frame itself is runtime-internal and is
+# deny-listed out of the digest.
+_DISPATCH_FRAMES = (("<runtime>/dispatch.py:0", "task_dispatch"),)
 
-    def _run_callable(self, ctx: _HandlerCtx, body: tuple[Stmt, ...]) -> Any:
-        """Run a handler's, helper's or spawned block's body to its value."""
-        try:
-            self.exec_body(ctx, body)
-            return None
-        except _ReturnSignal as ret:
-            return ret.value
-        except _BreakSignal:
-            raise ProgramError(
-                f"break outside a loop in {ctx.service.name}.{ctx.symbol}"
-            ) from None
 
-    def _exec_spawn(self, ctx: _HandlerCtx, stmt: Spawn) -> None:
-        handles = _as_list(ctx.scope.setdefault(stmt.futures, []))
-        ordinal = len(handles)
-        lineage = ctx.lineage + (ordinal,)
-        # Concurrent blocks start on a fresh call stack, the way a task
-        # handed to an executor would; the dispatch frame itself is
-        # runtime-internal and is deny-listed out of the digest.
-        frames = (("<runtime>/dispatch.py:0", "task_dispatch"),)
-        # The block spawns into, and awaits, its own futures list under
-        # this name, not the parent's.
-        scope_snapshot = {**ctx.scope, stmt.futures: []}
-        block_ctx = ctx.child(scope=scope_snapshot, frames=frames, lineage=lineage)
-        handles.append(_TaskHandle(lambda: self._run_callable(block_ctx, stmt.body)))
+class _CompiledEndpoint:
+    __slots__ = ("service", "params", "run", "returns")
 
-    def _exec_await(self, ctx: _HandlerCtx, stmt: AwaitAll) -> None:
-        handles = _as_list(ctx.scope.get(stmt.futures, []))
-        if not all(isinstance(h, _TaskHandle) for h in handles):
-            raise HandlerAbort("service-error")
-        self.scheduler.await_all(handles)
-        results = []
-        first_error: Exception | None = None
-        for handle in handles:
-            if handle.error is not None and first_error is None:
-                first_error = handle.error
-            results.append(handle.value)
-        if first_error is not None:
-            # A copy: the stored error would take this frame, and through its
-            # scope the handle, into its traceback.
-            raise copy.copy(first_error)
-        if stmt.assign:
-            ctx.scope[stmt.assign] = results
+    def __init__(self, service: str, params: tuple[str, ...], run, returns: str) -> None:
+        self.service = service
+        self.params = params
+        self.run = run
+        self.returns = returns  # what `_check_crossable` names in its error
+
+
+def _compiled_endpoints(app: Application) -> dict[tuple[str, str], _CompiledEndpoint]:
+    """Every endpoint of `app` by (service, method), compiled on the first
+    call and kept on the application."""
+    endpoints = app.compiled
+    if not endpoints:
+        compiled = {}
+        for key, svc in app.services.items():
+            helpers: dict[str, Callable] = {}  # looked up when called: helpers recurse
+            for name, helper in svc.helpers.items():
+                helpers[name] = _Compiler(svc, name, helpers).callable(helper.body)
+            for method, endpoint in svc.endpoints.items():
+                run = _Compiler(svc, method, helpers).callable(endpoint.body)
+                compiled[key, method] = _CompiledEndpoint(
+                    svc.name, tuple(name for name, _ in endpoint.params), run,
+                    f"{key}.{method} returns",
+                )
+        # One update, so a concurrent first run sees all endpoints or none.
+        endpoints.update(compiled)
+    return endpoints
 
 
 def _as_list(value: Any) -> list:
@@ -990,6 +860,238 @@ def _as_list(value: Any) -> list:
     if not isinstance(value, list):
         raise HandlerAbort("service-error")
     return value
+
+
+def _not_a_stream(name: str) -> StreamStateError:
+    return StreamStateError(f"variable {name!r} is not an open stream")
+
+
+class _Compiler:
+    """Compiles the statements of one endpoint or helper of `service`."""
+
+    def __init__(self, service: ServiceProgram, symbol: str,
+                 helpers: dict[str, Callable]) -> None:
+        self.service = service
+        self.symbol = symbol
+        self.helpers = helpers
+
+    def callable(self, body: tuple[Stmt, ...]) -> Callable:
+        """A handler's, helper's or spawned block's body, run to its value."""
+        run_body = self.body(body)
+        where = f"{self.service.name}.{self.symbol}"
+
+        def run(ex, ctx):
+            result = run_body(ex, ctx)
+            if result is _NEXT:
+                return None
+            if result is _BREAK:
+                raise ProgramError(f"break outside a loop in {where}")
+            return result
+
+        return run
+
+    def body(self, body: tuple[Stmt, ...]) -> Callable:
+        stmts = tuple(self.stmt(stmt) for stmt in body)
+
+        def run(ex, ctx):
+            for stmt in stmts:
+                ex.step()
+                result = stmt(ex, ctx)
+                if result is not _NEXT:
+                    return result
+            return _NEXT
+
+        return run
+
+    def site(self, line: int) -> tuple[tuple[str, str]]:
+        """The stack frame a statement at `line` adds to its handler's."""
+        return ((f"{self.service.source_file}:{line}", self.symbol),)
+
+    def args(self, args: tuple[tuple[str, Expr], ...]) -> Callable:
+        values = tuple((name, self.expr(expr)) for name, expr in args)
+        return lambda ctx: {name: value(ctx) for name, value in values}
+
+    def stmt(self, stmt: Stmt) -> Callable:
+        match stmt:
+            case Assign(var=var, value=value):
+                value = self.expr(value)
+
+                def run(ex, ctx):
+                    ctx.scope[var] = value(ctx)
+                    return _NEXT
+
+            case Append(list_var=list_var, value=value):
+                value = self.expr(value)
+
+                def run(ex, ctx):
+                    _as_list(ctx.scope.setdefault(list_var, [])).append(value(ctx))
+                    return _NEXT
+
+            case Rpc(service=callee, method=method, args=args, line=line, assign=assign):
+                args, site = self.args(args), self.site(line)
+
+                def run(ex, ctx):
+                    value = ex.invoke_rpc(ctx, callee, method, args(ctx), ctx.frames + site)
+                    if assign:
+                        ctx.scope[assign] = value
+                    return _NEXT
+
+            case CallHelper(helper=name, args=args, line=line, assign=assign):
+                helpers, args, site = self.helpers, self.args(args), self.site(line)
+
+                def run(ex, ctx):
+                    helper = helpers[name]
+                    value = helper(ex, ctx.child(args(ctx), ctx.frames + site))
+                    if assign:
+                        ctx.scope[assign] = value
+                    return _NEXT
+
+            case Loop(var=var, items=items, body=body):
+                items, body = self.expr(items), self.body(body)
+
+                def run(ex, ctx):
+                    scope = ctx.scope
+                    for item in _as_list(items(ctx)):
+                        scope[var] = item
+                        result = body(ex, ctx)
+                        if result is not _NEXT:
+                            return _NEXT if result is _BREAK else result
+                    return _NEXT
+
+            case If(cond=cond, then=then, orelse=orelse):
+                cond, then, orelse = self.expr(cond), self.body(then), self.body(orelse)
+                return lambda ex, ctx: then(ex, ctx) if cond(ctx) else orelse(ex, ctx)
+
+            case Try(body=body, catch=catch):
+                body, catch = self.body(body), self.body(catch)
+
+                def run(ex, ctx):
+                    try:
+                        return body(ex, ctx)
+                    except RpcFailure:
+                        return catch(ex, ctx)
+
+            case Break():
+                return lambda ex, ctx: _BREAK
+
+            case Return(value=value):
+                value = self.expr(value)
+                return lambda ex, ctx: value(ctx)
+
+            case Raise(message=message):
+                def run(ex, ctx):
+                    raise HandlerAbort(message)
+
+            case Spawn(futures=futures, body=body):
+                block = self.callable(body)
+
+                def run(ex, ctx):
+                    handles = _as_list(ctx.scope.setdefault(futures, []))
+                    # The block spawns into, and awaits, its own futures list
+                    # under this name, not the parent's.
+                    block_ctx = ctx.child({**ctx.scope, futures: []}, _DISPATCH_FRAMES,
+                                          ex.identities.lineage(ctx.lineage, len(handles)))
+                    handles.append(_TaskHandle(lambda: block(ex, block_ctx)))
+                    return _NEXT
+
+            case AwaitAll(futures=futures, assign=assign):
+                def run(ex, ctx):
+                    handles = _as_list(ctx.scope.get(futures, []))
+                    if not all(isinstance(h, _TaskHandle) for h in handles):
+                        raise HandlerAbort("service-error")
+                    ex.scheduler.await_all(handles)
+                    for handle in handles:
+                        if handle.error is not None:
+                            # A copy: the stored error would take this frame,
+                            # and through its scope the handle, into its
+                            # traceback.
+                            raise copy.copy(handle.error)
+                    if assign:
+                        ctx.scope[assign] = [handle.value for handle in handles]
+                    return _NEXT
+
+            case OpenStream(service=callee, method=method, line=line, assign=assign):
+                site = self.site(line)
+
+                def run(ex, ctx):
+                    ctx.scope[assign] = ex.open_stream(ctx, callee, method, ctx.frames + site)
+                    return _NEXT
+
+            case StreamSend(stream=name, args=args, line=line, assign=assign):
+                args, site = self.args(args), self.site(line)
+
+                def run(ex, ctx):
+                    stream = ctx.scope.get(name)
+                    if not isinstance(stream, _Stream):
+                        raise _not_a_stream(name)
+                    value = ex.stream_send(ctx, stream, args(ctx), ctx.frames + site)
+                    if assign:
+                        ctx.scope[assign] = value
+                    return _NEXT
+
+            case CloseStream(stream=name):
+                def run(ex, ctx):
+                    stream = ctx.scope.get(name)
+                    if not isinstance(stream, _Stream):
+                        raise _not_a_stream(name)
+                    ex.finalize_stream(stream)
+                    return _NEXT
+
+            case _:
+                def run(ex, ctx):
+                    raise DexiError(f"unhandled statement {stmt!r}")
+
+        return run
+
+    def expr(self, expr: Expr) -> Callable:
+        match expr:
+            case Const(value=value) if isinstance(value, (list, dict)):
+                # Lists and maps are mutable (a program appends to lists);
+                # hand out a copy so no state leaks between statements or
+                # executions.
+                return lambda ctx: copy.deepcopy(value)
+            case Const(value=value):
+                return lambda ctx: value
+            case Var(name=name):
+                def var(ctx):
+                    scope = ctx.scope
+                    if name not in scope:
+                        raise HandlerAbort("service-error")
+                    return scope[name]
+
+                return var
+            case Concat(parts=parts):
+                parts = tuple(self.expr(part) for part in parts)
+                return lambda ctx: "".join([str(part(ctx)) for part in parts])
+            case Join(items=items, sep=sep):
+                items = self.expr(items)
+                return lambda ctx: sep.join([str(item) for item in _as_list(items(ctx))])
+            case ListExpr(items=items):
+                items = tuple(self.expr(item) for item in items)
+                return lambda ctx: [item(ctx) for item in items]
+            case First(items=items):
+                items = self.expr(items)
+
+                def first(ctx):
+                    values = _as_list(items(ctx))
+                    if not values:
+                        raise HandlerAbort("service-error")
+                    return values[0]
+
+                return first
+            case IsSet(name=name):
+                return lambda ctx: name in ctx.scope
+            case Not(inner=inner):
+                inner = self.expr(inner)
+                return lambda ctx: not inner(ctx)
+            case Eq(left=left, right=right):
+                left, right = self.expr(left), self.expr(right)
+                return lambda ctx: left(ctx) == right(ctx)
+
+        def unhandled(ctx):
+            raise DexiError(f"unhandled expression {expr!r}")
+
+        return unhandled
 
 
 def _mark_last_preliminary(dei: DistributedExecutionIndex) -> DistributedExecutionIndex:
@@ -1002,11 +1104,20 @@ def _apply_rewrites(
     rewrites: Mapping[DistributedExecutionIndex, DistributedExecutionIndex],
 ) -> DistributedExecutionIndex:
     """Replace the longest prefix of `dei` that is a queued implicit index by
-    its final index. Finals are stored resolved, so one lookup suffices."""
-    for length in range(len(dei), 0, -1):
-        replacement = rewrites.get(DistributedExecutionIndex(dei.entries[:length]))
+    its final index. Finals are stored resolved, so one lookup suffices.
+
+    Every prefix is looked up, not only those ending in a preliminary entry:
+    the wire marks only a path's last entry, so two hops below a stream
+    message the queued prefix arrives unmarked. `dei` itself needs no copy.
+    """
+    replacement = rewrites.get(dei)
+    if replacement is not None:
+        return replacement
+    entries = dei.entries
+    for length in range(len(entries) - 1, 0, -1):
+        replacement = rewrites.get(DistributedExecutionIndex(entries[:length]))
         if replacement is not None:
-            return DistributedExecutionIndex(replacement.entries + dei.entries[length:])
+            return DistributedExecutionIndex(replacement.entries + entries[length:])
     return dei
 
 

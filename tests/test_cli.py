@@ -122,6 +122,23 @@ class TestGraph:
             ("users", "movies"),
         }
 
+    def test_rerun_replaces_the_entrys_trace_files(self, tmp_path):
+        # Otherwise `dexi graph DIR/*.jsonl` would read two runs at once.
+        traces_dir = tmp_path / "traces"
+        traces_dir.mkdir()
+        kept = [traces_dir / name for name in
+                ("cinema-3-0001.jsonl", "cinema-10-extra.jsonl", "cinema-10-0001.txt")]
+        for path in kept:
+            path.write_text("keep\n")
+        argv = ["explore", "--entry", "cinema-10", "--out", tmp_path / "r.json",
+                "--traces-out", traces_dir]
+        assert run_cli(argv) == 0
+        assert len(list(traces_dir.glob("cinema-10-0*.jsonl"))) == 6
+        assert run_cli([*argv, "--reduction"]) == 0
+        names = sorted(p.name for p in traces_dir.glob("cinema-10-*.jsonl"))
+        assert names == [f"cinema-10-{i:04d}.jsonl" for i in range(5)] + ["cinema-10-extra.jsonl"]
+        assert all(path.read_text() == "keep\n" for path in kept)
+
     def test_graph_decodes_each_wire_text_once(self, tmp_path, monkeypatch):
         from dexi import indexing
         from dexi.search import reconstruct_graph

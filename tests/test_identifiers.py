@@ -198,6 +198,17 @@ class TestIndexHash:
         assert hash(moved) == hash(DistributedExecutionIndex((fresh,)))
         assert hash(moved) != hash(dei)
 
+    def test_preliminary_marker_computed_for_every_copy(self):
+        # `has_preliminary` is computed on construction, so every way of
+        # building an index must compute its own.
+        dei = dei_extend(dei_extend(EMPTY_INDEX, inv("H", 9), 1), inv("W", 29), 2)
+        marked = _mark_last_preliminary(dei)
+        assert marked.has_preliminary() and not dei.has_preliminary()
+        assert replace(dei, entries=marked.entries).has_preliminary()
+        assert not replace(marked, entries=dei.entries).has_preliminary()
+        assert not decode(encode(marked)).has_preliminary()
+        assert dei_extend(marked, inv("X", 31), 1).has_preliminary()
+        assert marked.prefix().has_preliminary() is False
 
     def test_encode_never_stale(self):
         # `encode` keeps each index's text; every copy must compute its own.

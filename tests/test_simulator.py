@@ -221,6 +221,72 @@ class TestConstants:
         assert first[0] is not second[0]
         assert first[1]["k"] is not second[1]["k"]
 
+    def test_explore_hands_each_execution_a_fresh_constant(self):
+        # Every execution of one exploration runs the same compiled program;
+        # an append in one must not show in the constant the next one reads.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "assign", "var": "xs", "value": {"const": ["c"]}},
+                {"op": "append", "list": "xs", "value": {"const": "x"}},
+                {"op": "try", "body": [
+                    {"op": "rpc", "service": "b", "method": "get", "args": {}, "line": 4},
+                ]},
+                {"op": "return", "value": {"var": "xs"}},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [], "body": []}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={})
+        report = explore(app, entry, FaultCatalog.uniform(app))
+        outcomes = [ex.trace.entry_outcome for ex in report.executions]
+        assert len(outcomes) == 2
+        assert outcomes == [{"value": ["c", "x"]}] * 2
+
+
+class TestControlFlow:
+    def run_go(self, body, helpers=()):
+        app = parse_application({"services": [
+            {"name": "a", "helpers": list(helpers),
+             "endpoints": [{"method": "go", "params": [], "body": body}]},
+        ]})
+        return run_execution(app, EntryRequest(service="a", method="go", args={}))
+
+    def test_return_inside_a_loop_inside_a_try_returns_its_value(self):
+        trace = self.run_go([
+            {"op": "try", "body": [
+                {"op": "loop", "var": "i", "in": {"const": [1, 2]}, "line": 2, "body": [
+                    {"op": "return", "value": {"var": "i"}},
+                ]},
+            ], "catch": []},
+            {"op": "return", "value": {"const": "after"}},
+        ])
+        assert trace.entry_outcome == {"value": 1}
+
+    def test_break_in_a_helper_outside_any_loop_is_an_error(self):
+        # The helper is called from inside a loop; the break still may not
+        # leave the helper.
+        with pytest.raises(ProgramError, match="break outside a loop in a.h"):
+            self.run_go(
+                [{"op": "loop", "var": "i", "in": {"const": [1]}, "line": 2, "body": [
+                    {"op": "call", "helper": "h", "args": {}, "line": 3},
+                ]}],
+                helpers=[{"name": "h", "params": [], "body": [{"op": "break"}]}],
+            )
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_self_rpc_without_paths_stops_at_the_recursion_limit(self, scheduler):
+        # No path means no index depth to bound the nesting; the
+        # interpreter's recursion limit does, as one DexiError.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "rpc", "service": "a", "method": "go", "args": {}, "line": 2},
+            ]}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={})
+        with pytest.raises(DexiError) as raised:
+            run_execution(app, entry, scheduler=scheduler,
+                          config=config_from_label("no-path-count-stack"))
+        assert str(raised.value) == "RPC nesting exceeded the interpreter's recursion limit"
+
 
 class TestFailedBlockGarbage:
     def test_failed_block_leaves_no_reference_cycle(self):
@@ -558,6 +624,17 @@ class TestBudget:
         entry = EntryRequest(service="a", method="spin", args={})
         with pytest.raises(StepBudgetExceededError):
             run_execution(app, entry, budget=500)
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    def test_budget_counts_every_executed_statement(self, scheduler):
+        # greet: loop, 3 spawns, await_all, return; each block: rpc, return;
+        # each world.get: return. Unawaited or skipped statements never count.
+        app, entry = build_hello_world_app(), hello_world_entry(3)
+        statements = 1 + 3 + 1 + 1 + 3 * 2 + 3
+        trace = run_execution(app, entry, scheduler=scheduler, budget=statements)
+        assert "value" in trace.entry_outcome
+        with pytest.raises(StepBudgetExceededError):
+            run_execution(app, entry, scheduler=scheduler, budget=statements - 1)
 
 
 class TestEntryValidation:

@@ -28,7 +28,13 @@ from dexi.programs import (
     Var,
 )
 from dexi.search import FaultCatalog, completeness_check, explore
-from dexi.simulator import FaultPlan, FaultSpec, StreamStateError, run_execution
+from dexi.simulator import (
+    FaultPlan,
+    FaultSpec,
+    StreamStateError,
+    _apply_rewrites,
+    run_execution,
+)
 from helpers import brute_force_execution_set, explore_execution_keys
 
 
@@ -218,6 +224,45 @@ class TestNestedStreamRewrite:
         injected = [e for e in trace.events if e.kind == "fault_injected"]
         assert len(injected) == 1
         assert injected[0].callee == "c"
+
+
+class TestRewriteLookup:
+    def test_index_without_a_queued_prefix_comes_back_as_itself(self):
+        app, entry = build_nested_stream_app()
+        trace = run_execution(app, entry)
+        rewrites = {e.preliminary_dei: e.dei for e in stream_events(trace, "index_rewritten")}
+        downstream = next(e.dei for e in trace.invocation_events() if e.callee == "c")
+        assert rewrites and not downstream.has_preliminary()
+        for dei in (downstream, downstream.prefix()):
+            assert _apply_rewrites(dei, rewrites) is dei
+
+    def test_prefix_unmarked_by_the_wire_is_still_rewritten(self):
+        # b handles stream messages and calls c, which calls d. The wire
+        # marks only the last entry of a path, so d's caller path arrives
+        # with the message's preliminary entry unmarked.
+        def rpc(service, line):
+            return Rpc(service=service, method="get", args=(), line=line)
+
+        a_body = (
+            OpenStream(service="b", method="handle", line=2, assign="st"),
+            StreamSend(stream="st", args=(("s", Const("x")),), line=3),
+            StreamSend(stream="st", args=(("s", Const("y")),), line=4),
+            CloseStream(stream="st"),
+        )
+        app = Application(services={
+            "a": _service("a", "go", (), a_body),
+            "b": _service("b", "handle", (("s", "String"),), (rpc("c", 7),)),
+            "c": _service("c", "get", (), (rpc("d", 9),)),
+            "d": _service("d", "get", (), ()),
+        })
+        trace = run_execution(app, EntryRequest(service="a", method="go", args={}))
+        by_callee = {}
+        for event in trace.invocation_events():
+            by_callee.setdefault(event.callee, []).append(event.dei)
+        assert [len(by_callee[s]) for s in "bcd"] == [2, 2, 2]
+        for b, c, d in zip(by_callee["b"], by_callee["c"], by_callee["d"]):
+            assert c.prefix() == b and d.prefix() == c
+            assert not d.has_preliminary()
 
 
 def _service(name: str, method: str, params: tuple, body: tuple) -> ServiceProgram:
