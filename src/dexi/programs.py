@@ -227,9 +227,6 @@ class EntryRequest:
 @dataclass(frozen=True)
 class Application:
     services: Mapping[str, ServiceProgram]
-    # The simulator's compiled endpoints, filled on the first run. Statement
-    # trees are immutable, so the compiled form never goes stale.
-    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def endpoint(self, service: str, method: str) -> Endpoint:
         try:

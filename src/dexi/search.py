@@ -225,10 +225,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
             continue
         enclosing = dei.prefix()
         co_faults = {d: s for d, s in items if d != dei}
-        sibling = FaultPlan(
-            {**co_faults, enclosing: FaultSpec(surface["fault"])},
-            config=history.config,
-        )
+        sibling = FaultPlan({**co_faults, enclosing: FaultSpec(surface["fault"])})
         previous = history._by_plan_key.get(sibling.key())
         if previous is None:
             continue
@@ -265,10 +262,9 @@ def explore(
     which reproduces the unsound and incomplete behaviour those schemes have.
     """
     report = SearchReport(config=config, reduction_enabled=reduction_enabled)
-    options = dict(seed=seed, config=config, scheduler=scheduler,
-                   identities=IdentityTable(app, config))
-    worklist: deque[FaultPlan] = deque([FaultPlan(config=config)])
-    seen: set[frozenset] = {FaultPlan(config=config).key()}
+    options = dict(seed=seed, scheduler=scheduler, identities=IdentityTable(app, config))
+    worklist: deque[FaultPlan] = deque([FaultPlan()])
+    seen: set[frozenset] = {FaultPlan().key()}
     while worklist:
         plan = worklist.popleft()
         if reduction_enabled and len(plan):
@@ -300,12 +296,12 @@ def explore(
             )
             for spec in faults:
                 # Most extensions repeat a queued plan: build only new ones.
-                key = plan.key() | {(event.dei, spec.fault_type, spec.mode)}
+                key = plan.extended_key(event.dei, spec)
                 if key not in seen:
                     seen.add(key)
                     extended = dict(plan.items())
                     extended[event.dei] = spec
-                    worklist.append(FaultPlan(extended, config=config))
+                    worklist.append(FaultPlan(extended))
     return report
 
 

@@ -117,24 +117,21 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """The set of (index -> fault) injections applied during one execution."""
+    """The set of (index -> fault) injections applied during one execution.
+
+    A plain value: `run_sequence` checks its keys against the instantiation
+    the execution runs under.
+    """
 
     def __init__(
-        self,
-        injections: Mapping[DistributedExecutionIndex, FaultSpec] | None = None,
-        *,
-        config: InstantiationConfig = FULL_CONFIG,
+        self, injections: Mapping[DistributedExecutionIndex, FaultSpec] | None = None
     ) -> None:
         self._faults = dict(injections or {})
-        for dei in self._faults:
-            if indexing.project(dei, config) != dei:
-                raise MalformedPlanError(
-                    f"plan key {dei.render()} is not in the identifier space of the "
-                    "active instantiation"
-                )
-        self._key = frozenset(
-            (dei, spec.fault_type, spec.mode) for dei, spec in self._faults.items()
-        )
+        self._key = frozenset(self._point(dei, spec) for dei, spec in self._faults.items())
+
+    @staticmethod
+    def _point(dei: DistributedExecutionIndex, spec: FaultSpec) -> tuple:
+        return (dei, spec.fault_type, spec.mode)
 
     def __len__(self) -> int:
         return len(self._faults)
@@ -151,6 +148,10 @@ class FaultPlan:
     def key(self) -> frozenset:
         """Value identity of the plan, for deduplication across executions."""
         return self._key
+
+    def extended_key(self, dei: DistributedExecutionIndex, spec: FaultSpec) -> frozenset:
+        """The key of this plan with `dei -> spec` added, without building it."""
+        return self._key | {self._point(dei, spec)}
 
 
 EMPTY_PLAN = FaultPlan()
@@ -463,18 +464,21 @@ class _Stream:
 
 
 class IdentityTable:
-    """The identity parts of RPCs, built once per exploration: signatures per
-    endpoint, call stacks per call site, and masked invocation signatures per
-    call site and canonical argument bytes (not raw values: `1 == True`), so a
-    repeated RPC computes no digest. Each new invocation signature is checked
-    for a digest collision. Indexes are interned too, one object per distinct
-    index, so each is built, hashed and encoded once; so are the paths that
-    incoming metadata decodes to, one per distinct wire text, and the task
-    paths of spawned blocks. `explore` shares one table among its
-    executions; any other run builds its own."""
+    """An application compiled under one instantiation, built once per
+    exploration: its endpoints' programs, and the identity parts of RPCs:
+    signatures per endpoint, call stacks per call site, and masked
+    invocation signatures per call site and canonical argument bytes (not
+    raw values: `1 == True`), so a repeated RPC computes no digest. Each new
+    invocation signature is checked for a digest collision. Indexes are
+    interned too, one object per distinct index, so each is built, hashed
+    and encoded once; so are the paths that incoming metadata decodes to,
+    one per distinct wire text, and the task paths of spawned blocks.
+    `explore` shares one table among its executions; any other run builds
+    its own. An execution runs under its table's `config`."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
         self.config = config
+        self.endpoints = _compile_endpoints(app)
         self._signature = functools.cache(app.signature)
         self._stack = functools.cache(CallStackDigest.from_frames)
         self._invocations: dict[tuple, InvocationSignature] = {}
@@ -574,19 +578,15 @@ class _Execution:
         self,
         app: Application,
         plan: FaultPlan,
-        config: InstantiationConfig,
         scheduler,
-        seed: int,
         budget: int,
         identities: IdentityTable,
     ) -> None:
         self.app = app
-        self.endpoints = _compiled_endpoints(app)
+        self.endpoints = identities.endpoints
         self.plan = plan
-        self.config = config
         self.identities = identities
         self.scheduler = scheduler
-        self.seed = seed
         self.budget = budget
         self.counter = CounterState()
         self.events: list[RpcEvent] = []
@@ -637,15 +637,16 @@ class _Execution:
         if len(ctx.path) >= MAX_INDEX_DEPTH:
             raise DexiError(f"RPC to {id_inv.signature.render()} would nest deeper "
                             f"than {MAX_INDEX_DEPTH} calls")
-        id_path = ctx.path if self.config.include_path else EMPTY_INDEX
-        if self.config.include_count or preliminary:
+        config = self.identities.config
+        id_path = ctx.path if config.include_path else EMPTY_INDEX
+        if config.include_count or preliminary:
             count, raced = self.counter.claim(id_path, id_inv, ctx.lineage)
             if raced and not preliminary:
                 self.warn(
                     "detected-ambiguity: concurrent RPCs share signature, stack, and "
                     f"payload at {id_inv.render()}; counts may permute across executions"
                 )
-        if not self.config.include_count:
+        if not config.include_count:
             count = 1
         dei = self.identities.index(id_path, id_inv, count, preliminary)
         if preliminary:
@@ -654,6 +655,10 @@ class _Execution:
             collided = dei in self.assigned
             self.assigned.add(dei)
         if collided:
+            # Rewrites are injective under the full instantiation, so this
+            # sees every duplicate the trace would show.
+            if config.is_full:
+                raise DexiError(f"duplicate full index within one trace: {dei.render()}")
             self.warn(
                 f"identifier collision under the active instantiation: {dei.render()}"
             )
@@ -664,7 +669,8 @@ class _Execution:
     def dispatch_entry(self, entry: EntryRequest) -> dict[str, Any]:
         self.app.validate_entry(entry)
         try:
-            value = self.handle(entry.service, entry.method, copy.deepcopy(dict(entry.args)), None, ())
+            args = {name: _fresh(value) for name, value in entry.args.items()}
+            value = self.handle(entry.service, entry.method, args, None, ())
             return {"value": value}
         except (RpcFailure, HandlerAbort) as failure:
             return dict(failure.descriptor)
@@ -833,25 +839,31 @@ class _CompiledEndpoint:
         self.returns = returns  # what `_check_crossable` names in its error
 
 
-def _compiled_endpoints(app: Application) -> dict[tuple[str, str], _CompiledEndpoint]:
-    """Every endpoint of `app` by (service, method), compiled on the first
-    call and kept on the application."""
-    endpoints = app.compiled
-    if not endpoints:
-        compiled = {}
-        for key, svc in app.services.items():
-            helpers: dict[str, Callable] = {}  # looked up when called: helpers recurse
-            for name, helper in svc.helpers.items():
-                helpers[name] = _Compiler(svc, name, helpers).callable(helper.body)
-            for method, endpoint in svc.endpoints.items():
-                run = _Compiler(svc, method, helpers).callable(endpoint.body)
-                compiled[key, method] = _CompiledEndpoint(
-                    svc.name, tuple(name for name, _ in endpoint.params), run,
-                    f"{key}.{method} returns",
-                )
-        # One update, so a concurrent first run sees all endpoints or none.
-        endpoints.update(compiled)
+def _compile_endpoints(app: Application) -> dict[tuple[str, str], _CompiledEndpoint]:
+    """Every endpoint of `app` by (service, method), compiled."""
+    endpoints = {}
+    for key, svc in app.services.items():
+        helpers: dict[str, Callable] = {}  # looked up when called: helpers recurse
+        for name, helper in svc.helpers.items():
+            helpers[name] = _Compiler(svc, name, helpers).callable(helper.body)
+        for method, endpoint in svc.endpoints.items():
+            run = _Compiler(svc, method, helpers).callable(endpoint.body)
+            endpoints[key, method] = _CompiledEndpoint(
+                svc.name, tuple(name for name, _ in endpoint.params), run,
+                f"{key}.{method} returns",
+            )
     return endpoints
+
+
+def _fresh(value: Any) -> Any:
+    """`value` with every list and map in it copied: programs append to
+    lists, so no state may leak between statements or executions. Program
+    values are JSON values, trees of lists, maps and scalars."""
+    if isinstance(value, list):
+        return [_fresh(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _fresh(item) for key, item in value.items()}
+    return value
 
 
 def _as_list(value: Any) -> list:
@@ -1045,13 +1057,8 @@ class _Compiler:
 
     def expr(self, expr: Expr) -> Callable:
         match expr:
-            case Const(value=value) if isinstance(value, (list, dict)):
-                # Lists and maps are mutable (a program appends to lists);
-                # hand out a copy so no state leaks between statements or
-                # executions.
-                return lambda ctx: copy.deepcopy(value)
             case Const(value=value):
-                return lambda ctx: value
+                return lambda ctx: _fresh(value)
             case Var(name=name):
                 def var(ctx):
                     scope = ctx.scope
@@ -1141,30 +1148,6 @@ def propagate_context(
     return dei
 
 
-def _finalize_trace(
-    execution: _Execution,
-    events: list[RpcEvent],
-    entry: EntryRequest,
-    entry_outcome: dict[str, Any],
-) -> ExecutionTrace:
-    trace = ExecutionTrace(
-        events=tuple(events),
-        entry_request=entry,
-        entry_outcome=entry_outcome,
-        seed=execution.seed,
-        scheduler_mode=execution.scheduler.mode,
-        config=execution.config,
-        warnings=tuple(execution.warnings),
-    )
-    if execution.config.is_full:
-        seen: set[DistributedExecutionIndex] = set()
-        for dei in trace.invocation_deis():
-            if dei in seen:
-                raise DexiError(f"duplicate full index within one trace: {dei.render()}")
-            seen.add(dei)
-    return trace
-
-
 def run_execution(
     app: Application, entry: EntryRequest, plan: FaultPlan | None = None, **options
 ) -> ExecutionTrace:
@@ -1185,32 +1168,49 @@ def run_sequence(
     plan: FaultPlan | None = None,
     *,
     seed: int = 0,
-    config: InstantiationConfig = FULL_CONFIG,
+    config: InstantiationConfig | None = None,
     scheduler: str = "virtual",
     pool_size: int = 2,
     budget: int = DEFAULT_STEP_BUDGET,
     identities: IdentityTable | None = None,
 ) -> list[ExecutionTrace]:
     """Run several entry requests sharing one counter state (one functional test).
-    `explore` passes the `identities` it shares among its executions."""
+
+    The execution runs under the instantiation of `identities`, the table
+    `explore` shares among its executions; without a table it builds one
+    for `config` (the full instantiation by default). A table built for
+    another `config`, or a plan key outside the instantiation's identifier
+    space, is rejected before the first RPC.
+    """
+    if identities is None:
+        identities = IdentityTable(app, FULL_CONFIG if config is None else config)
+    elif config is not None and config != identities.config:
+        raise DexiError(f"identity table built for {identities.config}, "
+                        f"not for the requested {config}")
     plan = plan if plan is not None else EMPTY_PLAN
+    for dei, _ in plan.items():
+        if indexing.project(dei, identities.config) != dei:
+            raise MalformedPlanError(
+                f"plan key {dei.render()} is not in the identifier space of the "
+                "active instantiation"
+            )
     sched = _make_scheduler(scheduler, seed, pool_size)
-    execution = _Execution(
-        app=app,
-        plan=plan,
-        config=config,
-        scheduler=sched,
-        seed=seed,
-        budget=budget,
-        identities=identities or IdentityTable(app, config),
-    )
+    execution = _Execution(app=app, plan=plan, scheduler=sched, budget=budget,
+                           identities=identities)
     traces = []
     try:
         for entry in entries:
             start = len(execution.events)
             outcome = execution.dispatch_entry(entry)
-            window = execution.events[start:]
-            traces.append(_finalize_trace(execution, window, entry, outcome))
+            traces.append(ExecutionTrace(
+                events=tuple(execution.events[start:]),
+                entry_request=entry,
+                entry_outcome=outcome,
+                seed=seed,
+                scheduler_mode=sched.mode,
+                config=identities.config,
+                warnings=tuple(execution.warnings),
+            ))
     except RecursionError:
         # Without paths an index does not show its depth, so MAX_INDEX_DEPTH
         # cannot bound the nesting; the interpreter's limit does instead.

@@ -185,7 +185,7 @@ def brute_force_execution_set(
     effective: dict[frozenset, ExecutionTrace] = {}
 
     def run_one(plan_map: dict[DistributedExecutionIndex, FaultSpec]) -> None:
-        plan = FaultPlan(plan_map, config=config)
+        plan = FaultPlan(plan_map)
         trace = run_execution(app, entry, plan, seed=seed, config=config)
         fired = frozenset(
             (ev.dei, ev.outcome["fault"])
@@ -262,10 +262,7 @@ def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> 
         if surface is None or "fault" not in surface:
             continue
         co_faults = {d: s for d, s in items if d != dei}
-        sibling = FaultPlan(
-            {**co_faults, enclosing: FaultSpec(surface["fault"])},
-            config=history.config,
-        )
+        sibling = FaultPlan({**co_faults, enclosing: FaultSpec(surface["fault"])})
         previous = executed.get(sibling.key())
         if previous is None:
             continue

@@ -241,6 +241,27 @@ class TestConstants:
         assert len(outcomes) == 2
         assert outcomes == [{"value": ["c", "x"]}] * 2
 
+    def test_explore_hands_each_execution_the_original_entry_arguments(self):
+        # The handler appends to a list nested in its list argument; neither
+        # the next execution nor the caller's entry may see the append.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [{"name": "xs"}], "body": [
+                {"op": "loop", "var": "v", "in": {"var": "xs"}, "line": 2, "body": [
+                    {"op": "append", "list": "v", "value": {"const": "x"}},
+                ]},
+                {"op": "try", "body": [
+                    {"op": "rpc", "service": "b", "method": "get", "args": {}, "line": 5},
+                ]},
+                {"op": "return", "value": {"var": "xs"}},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [], "body": []}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={"xs": [["c"]]})
+        report = explore(app, entry, FaultCatalog.uniform(app))
+        outcomes = [ex.trace.entry_outcome for ex in report.executions]
+        assert outcomes == [{"value": [["c", "x"]]}] * 2
+        assert entry.args == {"xs": [["c"]]}
+
 
 class TestControlFlow:
     def run_go(self, body, helpers=()):
@@ -345,7 +366,7 @@ class TestFigure3Executions:
         entry = corpus["figure-3"]
         baseline = run_execution(entry.app, entry.entry_request, config=self.CFG)
         second = baseline.invocation_deis()[1]
-        plan = FaultPlan({second: FaultSpec()}, config=self.CFG)
+        plan = FaultPlan({second: FaultSpec()})
         trace = run_execution(entry.app, entry.entry_request, plan, config=self.CFG)
         assert symbolic(trace) == (("8", 1, False), ("8", 2, True), ("16", 1, False))
         assert trace.entry_outcome == {"value": "Hello World"}
@@ -385,11 +406,14 @@ class TestFaultInjection:
         assert injected[0].outcome == {"fault": "bad-gateway", "response": "oops"}
 
     def test_malformed_plan_key(self, corpus):
+        # The plan is a plain value; the execution checks it against the
+        # instantiation it runs under, before the first RPC.
         entry = corpus["figure-3"]
         baseline = run_execution(entry.app, entry.entry_request)
-        full_key = baseline.invocation_deis()[0]
-        with pytest.raises(MalformedPlanError):
-            FaultPlan({full_key: FaultSpec()}, config=config_from_label("filibuster"))
+        plan = FaultPlan({baseline.invocation_deis()[0]: FaultSpec()})
+        with pytest.raises(MalformedPlanError, match="not in the identifier space"):
+            run_execution(entry.app, entry.entry_request, plan,
+                          config=config_from_label("filibuster"))
 
     def test_propagated_failure_bubbles_descriptor(self, corpus):
         entry = corpus["cinema-10"]
@@ -763,6 +787,15 @@ class TestTraceInvariants:
 
 
 class TestRunSequence:
+    def test_execution_runs_under_its_tables_instantiation(self, corpus):
+        entry = corpus["cinema-10"]
+        table = simulator.IdentityTable(entry.app, config_from_label("3milebeach"))
+        trace = run_execution(entry.app, entry.entry_request, identities=table)
+        assert trace.config == table.config
+        with pytest.raises(DexiError, match="identity table built for"):
+            run_execution(entry.app, entry.entry_request, config=indexing.FULL_CONFIG,
+                          identities=table)
+
     def test_entries_share_counter_state(self, corpus):
         entry = corpus["figure-2"]
         traces = run_sequence(entry.app, [entry.entry_request, entry.entry_request])
