@@ -32,6 +32,7 @@ from .simulator import (
     FaultPlan,
     FaultSpec,
     IdentityTable,
+    fault_point,
     run_execution,
 )
 
@@ -172,12 +173,18 @@ class SearchReport:
         }
 
 
-def _plan_json(plan: FaultPlan) -> list[dict[str, str]]:
-    items = [
-        {"dei": indexing.encode(dei), "fault": spec.fault_type}
-        for dei, spec in plan.items()
-    ]
+def _plan_json(plan: FaultPlan) -> list[dict[str, Any]]:
+    items = []
+    for dei, spec in plan.items():
+        item = {"dei": indexing.encode(dei), "fault": spec.fault_type}
+        if spec.mode == "response":
+            item["response"] = spec.response
+        items.append(item)
     return sorted(items, key=lambda d: (d["dei"], d["fault"]))
+
+
+# One encoder for the surfaces that prune reasons quote.
+_SURFACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -224,9 +231,11 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
             # observed); its surface cannot match an injected fault, so keep.
             continue
         enclosing = dei.prefix()
-        co_faults = {d: s for d, s in items if d != dei}
-        sibling = FaultPlan({**co_faults, enclosing: FaultSpec(surface["fault"])})
-        previous = history._by_plan_key.get(sibling.key())
+        # The sibling swaps this fault for the surface's fault on the
+        # enclosing RPC; only its key is looked up, so none is built.
+        sibling = (candidate.key() - {fault_point(dei, spec)}
+                   | {fault_point(enclosing, FaultSpec(surface["fault"]))})
+        previous = history._by_plan_key.get(sibling)
         if previous is None:
             continue
         prev_surface = _surface_of_enclosing(previous.trace, enclosing)
@@ -237,7 +246,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
                     "encapsulation: fault on nested RPC "
                     f"{indexing.encode(dei)} is redundant with executed plan "
                     f"{_plan_json(previous.plan)} (equivalent surface "
-                    f"{json.dumps(surface, sort_keys=True)} of enclosing RPC "
+                    f"{_SURFACE_JSON.encode(surface)} of enclosing RPC "
                     f"{indexing.encode(enclosing)})"
                 ),
             )
@@ -328,15 +337,13 @@ def completeness_check(
     report's coarser identifier space cannot target individually.
     """
     violations: list[Violation] = []
-    injected: set[tuple[DistributedExecutionIndex, str]] = set()
+    # Points are keyed as plan keys are: two responses of one type differ.
+    injected: set[tuple] = set()
     for ex in report.executions:
         for event in ex.trace.events:
-            if event.kind == "fault_injected" and event.dei is not None and event.outcome:
-                injected.add((event.dei, event.outcome["fault"]))
-    pruned_points: set[tuple[DistributedExecutionIndex, str]] = set()
-    for pruned in report.pruned:
-        for dei, spec in pruned.plan.items():
-            pruned_points.add((dei, spec.fault_type))
+            if event.kind == "fault_injected" and event.dei is not None:
+                injected.add(fault_point(event.dei, ex.plan.match(event.dei)))
+    pruned_points = {point for pruned in report.pruned for point in pruned.plan.key()}
     for dei in report.discovered_deis:
         try:
             faults = catalog.faults_for_digest(dei.last.signature_digest)
@@ -344,7 +351,7 @@ def completeness_check(
             violations.append(Violation(kind="catalog-gap", detail=str(exc)))
             continue
         for spec in faults:
-            point = (dei, spec.fault_type)
+            point = fault_point(dei, spec)
             if point not in injected and point not in pruned_points:
                 violations.append(
                     Violation(

@@ -75,6 +75,7 @@ from .programs import (
     StreamSend,
     Try,
     Var,
+    iter_statements,
 )
 
 DEFAULT_STEP_BUDGET = 200_000
@@ -116,6 +117,15 @@ class FaultSpec:
         return {"fault": self.fault_type}
 
 
+def fault_point(dei: DistributedExecutionIndex, spec: FaultSpec) -> tuple:
+    """The key of one planned fault, the one rule for plan keys, completeness
+    points and subtree replay. A response fault's key holds its response's
+    canonical bytes, so two responses of one fault type stay apart."""
+    if spec.mode == "response":
+        return (dei, spec.fault_type, spec.mode, indexing.canonical_bytes(spec.response))
+    return (dei, spec.fault_type, spec.mode)
+
+
 class FaultPlan:
     """The set of (index -> fault) injections applied during one execution.
 
@@ -127,11 +137,7 @@ class FaultPlan:
         self, injections: Mapping[DistributedExecutionIndex, FaultSpec] | None = None
     ) -> None:
         self._faults = dict(injections or {})
-        self._key = frozenset(self._point(dei, spec) for dei, spec in self._faults.items())
-
-    @staticmethod
-    def _point(dei: DistributedExecutionIndex, spec: FaultSpec) -> tuple:
-        return (dei, spec.fault_type, spec.mode)
+        self._key = frozenset(fault_point(dei, spec) for dei, spec in self._faults.items())
 
     def __len__(self) -> int:
         return len(self._faults)
@@ -151,7 +157,16 @@ class FaultPlan:
 
     def extended_key(self, dei: DistributedExecutionIndex, spec: FaultSpec) -> frozenset:
         """The key of this plan with `dei -> spec` added, without building it."""
-        return self._key | {self._point(dei, spec)}
+        return self._key | {fault_point(dei, spec)}
+
+    def below(self, dei: DistributedExecutionIndex) -> frozenset:
+        """The points of the key strictly below `dei`: the faults that can
+        fire in the subtree of the RPC at `dei`."""
+        if not self._key:
+            return self._key
+        n, entries = len(dei), dei.entries
+        return frozenset([point for point in self._key
+                          if len(point[0]) > n and point[0].entries[:n] == entries])
 
 
 EMPTY_PLAN = FaultPlan()
@@ -360,7 +375,10 @@ class _TaskHandle:
             # Drop the runner first: its closure reaches this handle through
             # the spawning scope, and the cycle would outlive the execution.
             runner, self.runner = self.runner, None
-            if runner is None:  # finished, or awaited from inside its own run
+            if runner is None:
+                if not self.done:  # awaited from inside its own run
+                    raise DexiError("await cycle: a spawned block awaits a block that "
+                                    "is waiting for it")
                 return
             try:
                 self.value = runner()
@@ -371,16 +389,20 @@ class _TaskHandle:
 
 
 class VirtualScheduler:
-    """Seeded cooperative scheduler: awaited blocks run in shuffled order."""
+    """Seeded cooperative scheduler: awaited blocks run in shuffled order.
+    `draws` counts the awaits that drew from the generator."""
 
     mode = "virtual"
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
+        self.draws = 0
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         waiting = [h for h in handles if not h.done]
-        self._rng.shuffle(waiting)
+        if len(waiting) > 1:  # shuffling fewer draws nothing
+            self.draws += 1
+            self._rng.shuffle(waiting)
         for handle in waiting:
             handle.finish()
 
@@ -473,8 +495,10 @@ class IdentityTable:
     interned too, one object per distinct index, so each is built, hashed
     and encoded once; so are the paths that incoming metadata decodes to,
     one per distinct wire text, and the task paths of spawned blocks.
-    `explore` shares one table among its executions; any other run builds
-    its own. An execution runs under its table's `config`."""
+    `subtrees` keeps what a delivered RPC's callee did, by replay key (see
+    `_Execution.handle`). `explore` shares one table among its executions;
+    any other run builds its own. An execution runs under its table's
+    `config`."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
         self.config = config
@@ -486,6 +510,7 @@ class IdentityTable:
         self._indexes: dict[tuple, DistributedExecutionIndex] = {}
         self._paths: dict[tuple[str | None, str | None], DistributedExecutionIndex] = {}
         self._lineages: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.subtrees: dict[tuple, _Subtree | None] = {}
 
     def invocation(self, service: str, method: str, args: Mapping[str, Any] | None,
                    frames: tuple[tuple[str, str], ...]) -> InvocationSignature:
@@ -526,10 +551,10 @@ class IdentityTable:
             self._indexes[key] = dei
         return dei
 
-    def lineage(self, parent: tuple[int, ...], ordinal: int) -> tuple[int, ...]:
-        """The task path of `parent`'s spawned block number `ordinal`; every
-        event of the block keeps it."""
-        lineage = parent + (ordinal,)
+    def lineage(self, parent: tuple[int, ...], suffix: tuple[int, ...]) -> tuple[int, ...]:
+        """The task path `suffix` below `parent`, such as `(n,)` for
+        `parent`'s spawned block number n; every event of the task keeps it."""
+        lineage = parent + suffix
         return self._lineages.setdefault(lineage, lineage)
 
     def path(self, metadata: Mapping[str, str] | None) -> DistributedExecutionIndex:
@@ -573,6 +598,24 @@ class _HandlerCtx:
                            self.lineage if lineage is None else lineage, self.streams)
 
 
+class _Subtree(NamedTuple):
+    """What a delivered RPC's callee did, kept for replay: its value or its
+    failure descriptor, the events it recorded (their task paths extend
+    `lineage`, the caller's), the warnings it issued in order, the steps it
+    took and the indexes it assigned."""
+
+    value: Any
+    failure: dict[str, Any] | None
+    events: tuple[RpcEvent, ...]
+    lineage: tuple[int, ...]
+    warnings: tuple[str, ...]
+    steps: int
+    indexes: tuple[DistributedExecutionIndex, ...]
+
+
+_UNSEEN = object()
+
+
 class _Execution:
     def __init__(
         self,
@@ -593,6 +636,11 @@ class _Execution:
         self.warnings: list[str] = []
         self.rewrites: dict[DistributedExecutionIndex, DistributedExecutionIndex] = {}
         self.assigned: set[DistributedExecutionIndex] = set()
+        # Subtrees are replayed only where the index and the plan determine
+        # them: under the full instantiation, and without real threads.
+        self.subtrees = (identities.subtrees
+                         if identities.config.is_full and scheduler.mode == "virtual" else None)
+        self._issued: list[str] = []  # every warning issued, repeats included
         self._lock = threading.Lock()
         self._seq = itertools.count()
         self._steps = 0
@@ -619,6 +667,7 @@ class _Execution:
 
     def warn(self, message: str) -> None:
         with self._lock:
+            self._issued.append(message)
             if message not in self.warnings:
                 self.warnings.append(message)
 
@@ -655,23 +704,23 @@ class _Execution:
             collided = dei in self.assigned
             self.assigned.add(dei)
         if collided:
-            # Rewrites are injective under the full instantiation, so this
-            # sees every duplicate the trace would show.
-            if config.is_full:
-                raise DexiError(f"duplicate full index within one trace: {dei.render()}")
-            self.warn(
-                f"identifier collision under the active instantiation: {dei.render()}"
-            )
+            self._collision(dei)
         return dei
+
+    def _collision(self, dei: DistributedExecutionIndex) -> None:
+        """A second RPC of the trace got `dei`."""
+        # Rewrites are injective under the full instantiation, so this sees
+        # every duplicate the trace would show.
+        if self.identities.config.is_full:
+            raise DexiError(f"duplicate full index within one trace: {dei.render()}")
+        self.warn(f"identifier collision under the active instantiation: {dei.render()}")
 
     # -- RPC dispatch
 
     def dispatch_entry(self, entry: EntryRequest) -> dict[str, Any]:
         self.app.validate_entry(entry)
         try:
-            args = {name: _fresh(value) for name, value in entry.args.items()}
-            value = self.handle(entry.service, entry.method, args, None, ())
-            return {"value": value}
+            return {"value": self.handle(entry.service, entry.method, entry.args, None, ())}
         except (RpcFailure, HandlerAbort) as failure:
             return dict(failure.descriptor)
 
@@ -679,16 +728,35 @@ class _Execution:
         self,
         service: str,
         method: str,
-        args: dict[str, Any],
+        args: Mapping[str, Any],
         metadata: Mapping[str, str] | None,
         lineage: tuple[int, ...],
+        final: DistributedExecutionIndex | None = None,
     ) -> Any:
+        """Run an endpoint. A delivered RPC passes its `final` index, which
+        keys the callee's subtree together with the plan's faults below it;
+        a repeated key replays the first run's record (README, "Subtree
+        reuse"). Counts are relative to the path, so nothing outside the
+        subtree changes it, except what leaves it unkeyed: queued stream
+        rewrites, or a map argument (canonical bytes ignore key order and
+        `str()` does not). A callee without rpc statements is too cheap to key.
+        """
         endpoint = self.endpoints.get((service, method))
         if endpoint is None:
             self.app.endpoint(service, method)  # raises the ProgramError naming it
+        if (final is not None and endpoint.issues_rpcs and self.subtrees is not None
+                and not self.rewrites and not any(map(_holds_map, args.values()))):
+            key = (final, self.plan.below(final))
+            record = self.subtrees.get(key, _UNSEEN)
+            if record is _UNSEEN:
+                return self._record(key, service, method, args, metadata, lineage)
+            if record is not None and self._steps + record.steps <= self.budget:
+                return self._replay(record, lineage)
         path = self.identities.path(metadata)
-        ctx = _HandlerCtx(endpoint.service, {name: args[name] for name in endpoint.params},
-                          (), path, lineage, [])
+        # The handler's own copy of each list and map argument: it may append.
+        scope = {name: _fresh(value) if isinstance(value := args[name], _CONTAINERS) else value
+                 for name in endpoint.params}
+        ctx = _HandlerCtx(endpoint.service, scope, (), path, lineage, [])
         try:
             value = endpoint.run(self, ctx)
             _check_crossable(value, endpoint.returns)
@@ -697,6 +765,50 @@ class _Execution:
             for stream in ctx.streams:
                 if stream.open:
                     self.finalize_stream(stream)
+
+    def _record(self, key: tuple, service: str, method: str, args: Mapping[str, Any],
+                metadata: Mapping[str, str] | None, lineage: tuple[int, ...]) -> Any:
+        """Run the subtree and keep what it did under `key`."""
+        events, issued, steps = len(self.events), len(self._issued), self._steps
+        draws = self.scheduler.draws
+        try:
+            value, failure = self.handle(service, method, args, metadata, lineage), None
+        except (RpcFailure, HandlerAbort) as exc:
+            value, failure = None, exc.descriptor
+        recorded = tuple(self.events[events:])
+        if draws == self.scheduler.draws and all(e.kind != "stream_opened" for e in recorded):
+            self.subtrees[key] = _Subtree(
+                value, failure, recorded, lineage, tuple(dict.fromkeys(self._issued[issued:])),
+                self._steps - steps, tuple([e.dei for e in recorded if e.kind == "invocation"]),
+            )
+        else:
+            # Drawn order and stream numbering depend on the whole execution.
+            # Without a stream no index of the subtree is preliminary.
+            self.subtrees[key] = None
+        if failure is not None:  # `invoke_rpc` treats an abort as a failure
+            raise RpcFailure(failure)
+        return value
+
+    def _replay(self, record: _Subtree, lineage: tuple[int, ...]) -> Any:
+        """Append a recorded subtree's events under this caller, as its run
+        would have: fresh sequence numbers, the caller's task path."""
+        for dei in record.indexes:  # virtual scheduler: no other thread
+            if dei in self.assigned:
+                self._collision(dei)
+            self.assigned.add(dei)
+        moved, kept = lineage != record.lineage, len(record.lineage)
+        with self._lock:
+            self._steps += record.steps
+            for event in record.events:
+                task = event.lineage
+                if moved:
+                    task = self.identities.lineage(lineage, task[kept:])
+                self.events.append(RpcEvent._make((event[0], next(self._seq), *event[2:9], task)))
+        for message in record.warnings:
+            self.warn(message)
+        if record.failure is not None:
+            raise RpcFailure(record.failure)
+        return record.value
 
     def invoke_rpc(
         self,
@@ -724,22 +836,25 @@ class _Execution:
         if stream is not None and spec is None:
             implicit = self._stream_message_index(ctx, stream, final)
         caller = ctx.service
-        self.record("invocation", caller, callee, method, final, implicit,
-                    tuple([(name, args[name]) for name, _ in inv.signature.parameters]),
-                    lineage=ctx.lineage)
+        # The payload is a snapshot: the caller may append to its lists later.
+        self.record("invocation", caller, callee, method, final, implicit, tuple([
+            (name, _fresh(value) if isinstance(value := args[name], _CONTAINERS) else value)
+            for name, _ in inv.signature.parameters
+        ]), lineage=ctx.lineage)
         if spec is not None:
             self.record("fault_injected", caller, callee, method, final,
                         outcome=spec.descriptor(), lineage=ctx.lineage)
             if spec.mode == "response":
-                return spec.response
+                value = spec.response
+                return _fresh(value) if isinstance(value, _CONTAINERS) else value
             raise RpcFailure(spec.descriptor())
         metadata = {
             INDEX_METADATA_KEY: indexing.encode(dei if implicit is None else implicit),
             PRELIMINARY_METADATA_KEY: "false" if implicit is None else "true",
         }
         try:
-            outcome = {"value": self.handle(callee, method, args, metadata, ctx.lineage)}
-            failed = False
+            value = self.handle(callee, method, args, metadata, ctx.lineage, final)
+            outcome, failed = {"value": value}, False
         except (RpcFailure, HandlerAbort) as exc:
             outcome, failed = dict(exc.descriptor), True
         self.record("completion", caller, callee, method, final,
@@ -748,7 +863,8 @@ class _Execution:
             # The callee's unhandled failure surfaces at this call site as a
             # failure of this RPC, with the same descriptor.
             raise RpcFailure(dict(outcome))
-        return outcome["value"]
+        # The caller's own copy: the recorded outcome must not change.
+        return _fresh(value) if isinstance(value, _CONTAINERS) else value
 
     # -- streams
 
@@ -830,17 +946,21 @@ _DISPATCH_FRAMES = (("<runtime>/dispatch.py:0", "task_dispatch"),)
 
 
 class _CompiledEndpoint:
-    __slots__ = ("service", "params", "run", "returns")
+    __slots__ = ("service", "params", "run", "returns", "issues_rpcs")
 
-    def __init__(self, service: str, params: tuple[str, ...], run, returns: str) -> None:
+    def __init__(self, service: str, params: tuple[str, ...], run, returns: str,
+                 issues_rpcs: bool) -> None:
         self.service = service
         self.params = params
         self.run = run
         self.returns = returns  # what `_check_crossable` names in its error
+        self.issues_rpcs = issues_rpcs  # whether its service has an rpc statement
 
 
 def _compile_endpoints(app: Application) -> dict[tuple[str, str], _CompiledEndpoint]:
     """Every endpoint of `app` by (service, method), compiled."""
+    # Stream sends are never replayed, so rpc statements alone count.
+    callers = {svc.name for svc, _, stmt in iter_statements(app) if isinstance(stmt, Rpc)}
     endpoints = {}
     for key, svc in app.services.items():
         helpers: dict[str, Callable] = {}  # looked up when called: helpers recurse
@@ -850,9 +970,13 @@ def _compile_endpoints(app: Application) -> dict[tuple[str, str], _CompiledEndpo
             run = _Compiler(svc, method, helpers).callable(endpoint.body)
             endpoints[key, method] = _CompiledEndpoint(
                 svc.name, tuple(name for name, _ in endpoint.params), run,
-                f"{key}.{method} returns",
+                f"{key}.{method} returns", svc.name in callers,
             )
     return endpoints
+
+
+# Values a program can change in place; every other value passes by reference.
+_CONTAINERS = (list, dict)
 
 
 def _fresh(value: Any) -> Any:
@@ -864,6 +988,12 @@ def _fresh(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _fresh(item) for key, item in value.items()}
     return value
+
+
+def _holds_map(value: Any) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_map, value))
+    return isinstance(value, dict)
 
 
 def _as_list(value: Any) -> list:
@@ -1002,7 +1132,7 @@ class _Compiler:
                     # The block spawns into, and awaits, its own futures list
                     # under this name, not the parent's.
                     block_ctx = ctx.child({**ctx.scope, futures: []}, _DISPATCH_FRAMES,
-                                          ex.identities.lineage(ctx.lineage, len(handles)))
+                                          ex.identities.lineage(ctx.lineage, (len(handles),)))
                     handles.append(_TaskHandle(lambda: block(ex, block_ctx)))
                     return _NEXT
 

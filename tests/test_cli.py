@@ -292,6 +292,38 @@ def assign(var: str, value) -> dict:
 SPAWN_FS = {"op": "spawn", "futures": "fs", "line": 2, "body": []}
 
 
+def await_cycle_body() -> list:
+    """Each `l1` block awaits the `l2` list, whose second block awaits `l1`."""
+    def spawn(futures, line, body):
+        return {"op": "spawn", "futures": futures, "line": line, "body": body}
+
+    def await_all(futures, line):
+        return {"op": "await_all", "futures": futures, "line": line}
+
+    return [
+        spawn("l2", 2, [{"op": "rpc", "service": "b", "method": "get", "line": 3,
+                         "args": {"x": {"const": "x"}}}]),
+        spawn("l1", 4, [await_all("l2", 5)]),
+        spawn("l1", 6, [await_all("l2", 7)]),
+        spawn("l2", 8, [await_all("l1", 9)]),
+        await_all("l1", 10),
+        {"op": "return", "value": {"const": "done"}},
+    ]
+
+
+class TestAwaitCycle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cycle_is_one_error_line(self, tmp_path, capsys, seed):
+        (tmp_path / "cycle.json").write_text(
+            json.dumps(one_handler_entry("cycle", await_cycle_body())))
+        status = run_cli(["explore", "--corpus", tmp_path, "--seed", seed,
+                          "--out", tmp_path / "report.json"])
+        assert status == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cycle: await cycle: ")
+
+
 class TestCorpusValues:
     """A corpus program that uses a value as the wrong kind ends its handler
     with a service error; a misplaced break, or a futures list or stream sent

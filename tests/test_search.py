@@ -9,6 +9,7 @@ import re
 import pytest
 
 from dexi import indexing, search
+from dexi.experiment import build_hello_world_app
 from dexi.indexing import FULL_CONFIG, config_from_label
 from dexi.programs import Application, Const, Endpoint, EntryRequest, Return, ServiceProgram
 from dexi.search import (
@@ -193,6 +194,22 @@ class TestCompleteness:
         violations = completeness_check(report, catalog)
         assert violations
         assert any(v.kind == "missing-fault-point" for v in violations)
+
+    def test_two_responses_of_one_fault_type_are_two_points(self):
+        app = build_hello_world_app()
+        entry = EntryRequest(service="hello", method="greet", args={"tags": ["a"]})
+        specs = [FaultSpec("bad-gateway", mode="response", response=r)
+                 for r in ("first", "second")]
+        catalog = FaultCatalog({app.signature("world", "get"): specs})
+        report = explore(app, entry, catalog)
+        outcomes = [ex.trace.entry_outcome for ex in report.executions]
+        assert outcomes == [{"value": v} for v in ("world-a", "first", "second")]
+        assert [[p.get("response") for p in ex["plan"]]
+                for ex in report.to_json()["executions"]] == [[], ["first"], ["second"]]
+        assert completeness_check(report, catalog) == []
+        report.executions.pop()
+        [violation] = completeness_check(report, catalog)
+        assert violation.kind == "missing-fault-point"
 
     def test_degraded_run_vs_full_reference_reports_collapsed_points(self, corpus):
         entry = corpus["cinema-3"]

@@ -263,6 +263,64 @@ class TestConstants:
         assert entry.args == {"xs": [["c"]]}
 
 
+class TestRpcBoundaryCopies:
+    """Lists and maps are copied where they cross an RPC, so neither side,
+    nor the recorded events, sees the other side's appends."""
+
+    def app(self, caller_body, callee_params=(), callee_body=()) -> Application:
+        return parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": caller_body}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": list(callee_params),
+                                         "body": list(callee_body)}]},
+        ]})
+
+    ENTRY = EntryRequest(service="a", method="go", args={})
+
+    def test_callee_append_to_an_argument_stays_with_the_callee(self):
+        app = self.app(
+            [{"op": "assign", "var": "xs", "value": {"const": ["c"]}},
+             {"op": "rpc", "service": "b", "method": "get", "args": {"xs": {"var": "xs"}},
+              "line": 3},
+             {"op": "return", "value": {"var": "xs"}}],
+            [{"name": "xs"}],
+            [{"op": "append", "list": "xs", "value": {"const": "x"}}],
+        )
+        trace = run_execution(app, self.ENTRY)
+        assert trace.entry_outcome == {"value": ["c"]}
+        [invocation] = trace.invocation_events()
+        assert invocation.payload == (("xs", ["c"]),)
+        payload = indexing.InvocationPayload.from_mapping(
+            app.signature("b", "get"), dict(invocation.payload))
+        assert invocation.dei.last.payload_digest == payload.digest
+
+    def test_caller_append_to_a_result_leaves_the_completion_unchanged(self):
+        app = self.app(
+            [{"op": "rpc", "service": "b", "method": "get", "args": {}, "line": 2,
+              "assign": "r"},
+             {"op": "append", "list": "r", "value": {"const": "x"}},
+             {"op": "return", "value": {"var": "r"}}],
+            callee_body=[{"op": "return", "value": {"const": ["c"]}}],
+        )
+        trace = run_execution(app, self.ENTRY)
+        assert trace.entry_outcome == {"value": ["c", "x"]}
+        [completion] = [e for e in trace.events if e.kind == "completion"]
+        assert completion.outcome == {"value": ["c"]}
+
+    def test_response_fault_hands_out_a_copy(self):
+        app = self.app(
+            [{"op": "rpc", "service": "b", "method": "get", "args": {}, "line": 2,
+              "assign": "r"},
+             {"op": "append", "list": "r", "value": {"const": "x"}},
+             {"op": "return", "value": {"var": "r"}}],
+        )
+        [dei] = run_execution(app, self.ENTRY).invocation_deis()
+        spec = FaultSpec("bad-gateway", mode="response", response=["c"])
+        plan = FaultPlan({dei: spec})
+        outcomes = [run_execution(app, self.ENTRY, plan).entry_outcome for _ in range(3)]
+        assert outcomes == [{"value": ["c", "x"]}] * 3
+        assert spec.response == ["c"]
+
+
 class TestControlFlow:
     def run_go(self, body, helpers=()):
         app = parse_application({"services": [
