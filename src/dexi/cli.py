@@ -15,7 +15,7 @@ from .corpus import CorpusError, load_corpus
 from .experiment import run_nondeterminism_experiment
 from .indexing import CONFIG_LABELS, DexiError, DistributedExecutionIndex, config_from_label
 from .search import FaultCatalog, completeness_check, explore
-from .simulator import ExecutionTrace
+from .simulator import ExecutionTrace, RpcEvent
 
 
 @contextmanager
@@ -85,8 +85,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 for path in traces_dir.iterdir():
                     if stale.fullmatch(path.name):
                         path.unlink()
+                encoded: dict[tuple, str] = {}  # each distinct record encodes once
                 for i, ex in enumerate(report.executions):
-                    lines = ex.trace.to_json_lines()
+                    lines = ex.trace.to_json_lines(encoded)
                     path = traces_dir / f"{entry.name}-{i:04d}.jsonl"
                     path.write_text("\n".join(lines) + "\n")
         results.append(doc)
@@ -127,19 +128,23 @@ def cmd_nondeterminism(args: argparse.Namespace) -> int:
 
 
 def _load_trace_file(
-    path: Path, decoded: dict[str, DistributedExecutionIndex] | None = None
+    path: Path,
+    decoded: dict[str, DistributedExecutionIndex] | None = None,
+    records: dict[str, RpcEvent] | None = None,
 ) -> ExecutionTrace:
-    return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded)
+    return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     from .search import reconstruct_graph
 
     traces = []
-    decoded: dict[str, DistributedExecutionIndex] = {}  # each wire text decodes once
+    # Each wire text decodes once, and each distinct line parses once.
+    decoded: dict[str, DistributedExecutionIndex] = {}
+    records: dict[str, RpcEvent] = {}
     for path in args.traces:
         try:
-            traces.append(_load_trace_file(Path(path), decoded))
+            traces.append(_load_trace_file(Path(path), decoded, records))
         except (OSError, UnicodeDecodeError, DexiError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2

@@ -259,14 +259,17 @@ class DistributedExecutionIndex:
     valid index is itself a valid index. An index is its own key: equality
     and hashing compare the entries' digests and counts only, and the hash is
     computed once, on construction, as is whether an entry is preliminary.
-    `encode` keeps the wire text in `_wire` on first use; every copy is a new
-    object and computes its own.
+    `encode` keeps the wire text in `_wire` on first use, and `prefix` its
+    result in `_prefix`; every copy is a new object and computes its own.
     """
 
     entries: tuple[IndexEntry, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
     _preliminary: bool = field(init=False, repr=False, compare=False)
     _wire: str | None = field(default=None, init=False, repr=False, compare=False)
+    _prefix: DistributedExecutionIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.entries))
@@ -289,9 +292,13 @@ class DistributedExecutionIndex:
 
     def prefix(self) -> DistributedExecutionIndex:
         """The index of the enclosing RPC (empty index for top-level RPCs)."""
-        if not self.entries:
-            raise DexiError("empty index has no enclosing prefix")
-        return DistributedExecutionIndex(self.entries[:-1])
+        prefix = self._prefix
+        if prefix is None:
+            if not self.entries:
+                raise DexiError("empty index has no enclosing prefix")
+            prefix = DistributedExecutionIndex(self.entries[:-1])
+            object.__setattr__(self, "_prefix", prefix)
+        return prefix
 
     def has_preliminary(self) -> bool:
         return self._preliminary

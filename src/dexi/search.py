@@ -105,6 +105,9 @@ class SearchReport:
     _nested_surfaces: dict[tuple[DistributedExecutionIndex, str], dict[str, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _enclosing_surfaces: dict[
+        tuple[int, DistributedExecutionIndex], tuple[ExecutedPlan, dict[str, Any] | None]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
     _indexed: tuple[list[ExecutedPlan] | None, int] = field(
         default=(None, 0), init=False, repr=False, compare=False
     )
@@ -115,14 +118,16 @@ class SearchReport:
         `_by_plan_key` maps a plan key to its (last) execution. For each
         nested fault point and fault type, `_nested_surfaces` keeps the
         enclosing RPC's surface from the first execution, in history order,
-        that injects that fault there and whose trace shows a surface. A
-        history that was replaced or shortened since the last call is
-        indexed again from the start.
+        that injects that fault there and whose trace shows a surface.
+        `_enclosing_surfaces` keeps what `_surface_in` read, by execution
+        identity and enclosing index. A history that was replaced or
+        shortened since the last call is indexed again from the start.
         """
         indexed_list, start = self._indexed
         if indexed_list is not self.executions or start > len(self.executions):
             self._by_plan_key.clear()
             self._nested_surfaces.clear()
+            self._enclosing_surfaces.clear()
             start = 0
         for ex in self.executions[start:]:
             self._by_plan_key[ex.plan.key()] = ex
@@ -135,6 +140,18 @@ class SearchReport:
                     if surface is not None:
                         self._nested_surfaces[key] = surface
         self._indexed = (self.executions, len(self.executions))
+
+    def _surface_in(
+        self, ex: ExecutedPlan, enclosing: DistributedExecutionIndex
+    ) -> dict[str, Any] | None:
+        """The surface of `enclosing` in `ex`'s trace, read once per pair.
+        The memo keeps `ex` beside its surface, so no other execution can
+        take its id while the entry stands."""
+        key = (id(ex), enclosing)
+        kept = self._enclosing_surfaces.get(key)
+        if kept is None:
+            kept = self._enclosing_surfaces[key] = (ex, _surface_of_enclosing(ex.trace, enclosing))
+        return kept[1]
 
     @property
     def total_executed(self) -> int:
@@ -238,7 +255,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
         previous = history._by_plan_key.get(sibling)
         if previous is None:
             continue
-        prev_surface = _surface_of_enclosing(previous.trace, enclosing)
+        prev_surface = history._surface_in(previous, enclosing)
         if prev_surface == surface:
             return ReductionDecision(
                 prune=True,

@@ -247,6 +247,35 @@ def _decode(text: str, decoded: dict[str, DistributedExecutionIndex]) -> Distrib
     return dei
 
 
+def _record_key(event: RpcEvent) -> tuple | None:
+    """The key `to_json_lines` keeps `event`'s line under, or None.
+
+    Equal keys must mean equal lines. Python equates `1`, `1.0` and `True`,
+    and `0.0` and `-0.0`, where JSON writes each differently; so an event is
+    keyed only when its text fields and every `payload` and `outcome` name
+    and value are `str`, and its `seq` and task are `int`. Equal indexes
+    always encode to the same wire text.
+    """
+    kind, seq, caller, callee, method, dei, preliminary, payload, outcome, lineage = event
+    if outcome is None:
+        items = None
+    elif type(outcome) is dict:
+        items = tuple(outcome.items())
+    else:
+        return None
+    if (type(seq) is not int or type(kind) is not str or type(caller) is not str
+            or type(callee) is not str or type(method) is not str):
+        return None
+    for task in lineage:
+        if type(task) is not int:
+            return None
+    for pairs in (payload, items):
+        for name, value in pairs or ():
+            if type(name) is not str or type(value) is not str:
+                return None
+    return (kind, seq, caller, callee, method, dei, preliminary, payload, items, lineage)
+
+
 # One encoder for every trace line; `json.dumps` would build one per call.
 _TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
@@ -272,7 +301,15 @@ class ExecutionTrace:
     def dei_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(indexing.encode(d) for d in self.invocation_deis()))
 
-    def to_json_lines(self) -> list[str]:
+    def to_json_lines(self, encoded: dict[tuple, str] | None = None) -> list[str]:
+        """The trace as JSON Lines: the header, then one line per event.
+
+        `encoded` maps an event's record key to its line, and gains new ones;
+        pass one dict to traces written together so that each distinct record
+        is encoded once. An event `_record_key` cannot key safely is encoded
+        afresh.
+        """
+        encoded = {} if encoded is None else encoded
         header = {
             "kind": "trace_header",
             "entry": {
@@ -288,24 +325,45 @@ class ExecutionTrace:
         }
         encode = _TRACE_JSON.encode
         lines = [encode(header)]
-        lines.extend(encode(e.to_json()) for e in self.events)
+        for event in self.events:
+            key = _record_key(event)
+            if key is None:
+                lines.append(encode(event.to_json()))
+                continue
+            line = encoded.get(key)
+            if line is None:
+                line = encoded[key] = encode(event.to_json())
+            lines.append(line)
         return lines
 
     @classmethod
     def from_json_lines(
-        cls, lines: Iterable[str], decoded: dict[str, DistributedExecutionIndex] | None = None
+        cls,
+        lines: Iterable[str],
+        decoded: dict[str, DistributedExecutionIndex] | None = None,
+        records: dict[str, RpcEvent] | None = None,
     ) -> ExecutionTrace:
         """Rebuild a trace from the lines `to_json_lines` wrote.
 
         A header without `config` loads as the full instantiation. Malformed
-        input raises `DexiError` naming the offending line. Each distinct
-        wire text is decoded once; pass one `decoded` dict to traces loaded
-        together to share their decoded indexes.
+        input raises `DexiError` naming the offending line. `decoded` maps
+        an index's wire text to the index it decoded to, and `records` maps
+        an event line's text to the event it built; both gain new entries.
+        Pass the same dicts to traces loaded together: a repeated line then
+        reuses its event, unparsed, and each distinct wire text is decoded
+        once. Only lines that built an event are kept, so a malformed line
+        fails in every trace that holds it. Traces loaded so share their
+        events, `payload` and `outcome` included: do not mutate them.
         """
         decoded = {} if decoded is None else decoded
+        records = {} if records is None else records
         header: dict[str, Any] | None = None
         events = []
         for number, line in enumerate(lines, 1):
+            event = records.get(line)
+            if event is not None:
+                events.append(event)
+                continue
             if not line.strip():
                 continue
             try:
@@ -313,7 +371,8 @@ class ExecutionTrace:
                 if not isinstance(doc, dict):
                     raise DexiError("record is not a JSON object")
                 if doc.get("kind") != "trace_header":
-                    events.append(RpcEvent.from_json(doc, decoded))
+                    event = records[line] = RpcEvent.from_json(doc, decoded)
+                    events.append(event)
                     continue
                 entry = doc["entry"]
                 header = {

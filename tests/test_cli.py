@@ -12,6 +12,7 @@ import pytest
 
 import dexi
 from dexi.cli import main
+from dexi.indexing import DexiError
 
 
 def run_cli(args) -> int:
@@ -139,7 +140,7 @@ class TestGraph:
         assert names == [f"cinema-10-{i:04d}.jsonl" for i in range(5)] + ["cinema-10-extra.jsonl"]
         assert all(path.read_text() == "keep\n" for path in kept)
 
-    def test_graph_decodes_each_wire_text_once(self, tmp_path, monkeypatch):
+    def test_graph_decodes_each_wire_text_once(self, tmp_path, monkeypatch, capsys):
         from dexi import indexing
         from dexi.search import reconstruct_graph
         from dexi.simulator import ExecutionTrace
@@ -163,6 +164,34 @@ class TestGraph:
             [ExecutionTrace.from_json_lines(f.read_text().splitlines()) for f in files]
         )
         assert out.read_text() == json.dumps(graph.to_json(), sort_keys=True, indent=2) + "\n"
+        # Loaded with one memo, as `dexi graph` loads them, and written with
+        # one, as `--traces-out` writes them: the files come back byte-equal.
+        decoded, records, encoded = {}, {}, {}
+        loaded = []
+        for f in files:
+            loaded.append(
+                ExecutionTrace.from_json_lines(f.read_text().splitlines(), decoded, records)
+            )
+            assert "\n".join(loaded[-1].to_json_lines(encoded)) + "\n" == f.read_text()
+        # Each distinct event line built one event, which the traces share.
+        distinct = {line for f in files for line in f.read_text().splitlines()[1:]}
+        assert records.keys() == distinct
+        assert len({id(e) for trace in loaded for e in trace.events}) == len(distinct)
+        assert sum(len(trace.events) for trace in loaded) > len(distinct)
+        # A malformed line is never kept: it fails in every file that holds
+        # it, and `dexi graph` names the first.
+        text = files[0].read_text()
+        number = len(text.splitlines()) + 1
+        bad = [tmp_path / "bad-1.jsonl", tmp_path / "bad-2.jsonl"]
+        for path in bad:
+            path.write_text(text + '{"kind": "invocation", "caller": "a"}\n')
+            with pytest.raises(DexiError, match=f"^line {number}: missing field 'seq'"):
+                ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records)
+        capsys.readouterr()
+        assert run_cli(["graph", *files, *bad]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad[0]}: line {number}: missing field 'seq'"
+        ]
 
     @pytest.mark.parametrize(
         "text",

@@ -14,6 +14,7 @@ from dexi.indexing import (
     CallStackPolicy,
     CounterState,
     DecodeError,
+    DexiError,
     DistributedExecutionIndex,
     EMPTY_INDEX,
     EMPTY_PAYLOAD,
@@ -209,6 +210,22 @@ class TestIndexHash:
         assert not decode(encode(marked)).has_preliminary()
         assert dei_extend(marked, inv("X", 31), 1).has_preliminary()
         assert marked.prefix().has_preliminary() is False
+
+    def test_prefix_kept_once(self):
+        # `prefix` keeps its result: one index returns one prefix object,
+        # equal to and hashing as a freshly built one, and every copy of
+        # the index computes its own.
+        dei = dei_extend(dei_extend(EMPTY_INDEX, inv("H", 9), 1), inv("W", 29), 2)
+        before = hash(dei)
+        assert dei.prefix() is dei.prefix()
+        fresh = DistributedExecutionIndex(dei.entries[:-1])
+        assert dei.prefix() == fresh and hash(dei.prefix()) == hash(fresh)
+        assert dei.prefix().prefix() is dei.prefix().prefix() == EMPTY_INDEX
+        assert hash(dei) == before and dei == decode(encode(dei))
+        moved = replace(dei, entries=(dei.last,))
+        assert moved.prefix() == EMPTY_INDEX and moved.prefix() is not dei.prefix()
+        with pytest.raises(DexiError, match="no enclosing prefix"):
+            EMPTY_INDEX.prefix()
 
     def test_encode_never_stale(self):
         # `encode` keeps each index's text; every copy must compute its own.

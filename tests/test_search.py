@@ -373,6 +373,29 @@ class TestIndexedReduction:
         for plan in candidates:
             assert dynamic_reduction(plan, manual) == reference_dynamic_reduction(plan, manual)
 
+    def test_enclosing_surface_read_once_per_pair(self, monkeypatch):
+        app, entry = build_nested(mids=3, leaves=2)
+        explored = explore(app, entry, FaultCatalog.uniform(app), reduction_enabled=True)
+        history = SearchReport(config=FULL_CONFIG, reduction_enabled=True)
+        history.executions = explored.executions
+        history._index_executions()
+        reads = []
+        surface_of = search._surface_of_enclosing
+        monkeypatch.setattr(search, "_surface_of_enclosing", lambda trace, enclosing: (
+            reads.append((id(trace), enclosing)) or surface_of(trace, enclosing)))
+        plans = [p.plan for p in explored.pruned] + [ex.plan for ex in explored.executions]
+        decisions = [dynamic_reduction(plan, history) for plan in plans]
+        assert decisions == [reference_dynamic_reduction(plan, history) for plan in plans]
+        assert sum(d.prune for d in decisions) == len(explored.pruned)
+        assert reads and len(reads) == len(set(reads))
+        read = len(reads)
+        assert [dynamic_reduction(plan, history) for plan in plans] == decisions
+        assert len(reads) == read
+        # A replaced history is indexed again, and its surfaces read again.
+        history.executions = list(history.executions)
+        history._index_executions()
+        assert not history._enclosing_surfaces
+
     def test_plan_key_computed_once(self):
         app, entry = build_figure1()
         deis = run_execution(app, entry).invocation_deis()

@@ -7,6 +7,7 @@ import gc
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -842,6 +843,59 @@ class TestTraceInvariants:
         del header["config"]
         lines[0] = json.dumps(header)
         assert ExecutionTrace.from_json_lines(lines).config == indexing.FULL_CONFIG
+
+
+def stream_fanout_app(words: list[str]) -> Application:
+    """One stream, one concurrent send per word."""
+    send = {"op": "stream_send", "stream": "st", "args": {"s": {"var": "w"}}, "line": 6,
+            "assign": "r"}
+    return parse_application({"services": [
+        {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+            {"op": "open_stream", "service": "b", "method": "handle", "line": 3, "assign": "st"},
+            {"op": "loop", "var": "w", "in": {"const": words}, "line": 9, "body": [
+                {"op": "spawn", "futures": "fs", "line": 10,
+                 "body": [send, {"op": "return", "value": {"var": "r"}}]}]},
+            {"op": "await_all", "futures": "fs", "line": 11, "assign": "rs"},
+            {"op": "return", "value": {"var": "rs"}},
+        ]}]},
+        {"name": "b", "endpoints": [{"method": "handle", "params": [{"name": "s"}],
+                                     "body": [{"op": "return", "value": {"var": "s"}}]}]},
+    ]})
+
+
+class TestTraceCodecMemo:
+    # Python equates 1, 1.0 and True, and 0.0 and -0.0; JSON writes each
+    # differently, so the encode memo must never merge them.
+    VALUES = [1, 1.0, True, 0.0, -0.0, "1", [1], {"k": 1}, None]
+
+    def test_shared_encode_memo_never_merges_distinct_lines(self, corpus):
+        entry = corpus["figure-2"]
+        base = run_execution(entry.app, entry.entry_request)
+        encoded: dict = {}
+        for value in self.VALUES * 2:
+            events = tuple(
+                e._replace(payload=(("s", value),), outcome={"value": value})
+                for e in base.events
+            )
+            trace = replace(base, events=events)
+            assert trace.to_json_lines(encoded) == trace.to_json_lines(), value
+        # Loaded traces may hold any JSON value in `seq` and `task` too.
+        for seq in (1, 1.0, True) * 2:
+            events = tuple(e._replace(sequence_number=seq, lineage=(seq,)) for e in base.events)
+            trace = replace(base, events=events)
+            assert trace.to_json_lines(encoded) == trace.to_json_lines(), seq
+
+    def test_shared_encode_memo_matches_fresh_encodes(self, corpus):
+        apps = [(e.name, e.app, e.entry_request) for e in corpus.values()]
+        apps.append(("stream-fanout-4", stream_fanout_app(["w1", "w2", "w3", "w4"]),
+                     EntryRequest(service="a", method="go", args={})))
+        for name, app, entry in apps:
+            report = explore(app, entry, FaultCatalog.uniform(app), seed=3)
+            encoded: dict = {}
+            for ex in report.executions:
+                assert ex.trace.to_json_lines(encoded) == ex.trace.to_json_lines(), name
+            lines = sum(len(ex.trace.events) for ex in report.executions)
+            assert len(encoded) < lines, name
 
 
 class TestRunSequence:
