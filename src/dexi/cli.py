@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .corpus import CorpusError, load_corpus
+from .corpus import load_corpus
 from .experiment import run_nondeterminism_experiment
 from .indexing import CONFIG_LABELS, DexiError, DistributedExecutionIndex, config_from_label
 from .search import FaultCatalog, completeness_check, explore
@@ -37,17 +37,12 @@ def _write_json(path: str | None, doc: dict) -> None:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    try:
-        entries = load_corpus(args.corpus)
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = load_corpus(args.corpus)
     if args.entry:
         by_name = {e.name: e for e in entries}
         missing = [name for name in args.entry if name not in by_name]
         if missing:
-            print(f"error: unknown corpus entry {', '.join(missing)}", file=sys.stderr)
-            return 2
+            raise DexiError(f"unknown corpus entry {', '.join(missing)}")
         entries = [by_name[name] for name in args.entry]
     config = config_from_label(args.config)
     results = []
@@ -66,8 +61,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 budget=args.budget,
             )
         except DexiError as exc:
-            print(f"error: {entry.name}: {exc}", file=sys.stderr)
-            return 2
+            raise DexiError(f"{entry.name}: {exc}") from None
         violations = completeness_check(report, catalog)
         if violations:
             status = 1
@@ -146,8 +140,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         try:
             traces.append(_load_trace_file(Path(path), decoded, records))
         except (OSError, UnicodeDecodeError, DexiError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+            raise DexiError(f"{path}: {exc}") from None
     graph = reconstruct_graph(traces)
     _write_json(args.out, graph.to_json())
     for edge in graph.edges:
@@ -207,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         args.n = [2, 4, 8, 16, 32, 64]
     if getattr(args, "budget", 1) <= 0:
         parser.error("--budget must be positive")
+    # Every failure ends here: one `error:` line, and the exit code.
     try:
         return args.func(args)
     except DexiError as exc:

@@ -281,9 +281,6 @@ class DistributedExecutionIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
     @property
     def last(self) -> IndexEntry:
         if not self.entries:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from . import indexing
@@ -81,6 +82,24 @@ class ExecutedPlan:
     plan: FaultPlan
     trace: ExecutionTrace
 
+    @cached_property
+    def surfaces(self) -> dict[DistributedExecutionIndex | None, dict[str, Any] | None]:
+        """Each index's surface: what the RPC showed its caller at its first
+        completion or injected fault, a failure reduced to `{"fault": ...}`.
+        Built in one pass over the trace, when reduction first reads it."""
+        surfaces: dict[DistributedExecutionIndex | None, dict[str, Any] | None] = {}
+        for event in self.trace.events:
+            kind, outcome = event.kind, event.outcome
+            if kind not in ("completion", "fault_injected") or event.dei in surfaces:
+                continue
+            if outcome and (kind == "fault_injected" or "fault" in outcome):
+                if outcome.keys() != {"fault"}:
+                    outcome = {"fault": outcome.get("fault")}
+            elif kind == "fault_injected":
+                outcome = None
+            surfaces[event.dei] = outcome
+        return surfaces
+
 
 @dataclass(frozen=True)
 class PrunedPlan:
@@ -105,9 +124,6 @@ class SearchReport:
     _nested_surfaces: dict[tuple[DistributedExecutionIndex, str], dict[str, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _enclosing_surfaces: dict[
-        tuple[int, DistributedExecutionIndex], tuple[ExecutedPlan, dict[str, Any] | None]
-    ] = field(default_factory=dict, init=False, repr=False, compare=False)
     _indexed: tuple[list[ExecutedPlan] | None, int] = field(
         default=(None, 0), init=False, repr=False, compare=False
     )
@@ -118,16 +134,14 @@ class SearchReport:
         `_by_plan_key` maps a plan key to its (last) execution. For each
         nested fault point and fault type, `_nested_surfaces` keeps the
         enclosing RPC's surface from the first execution, in history order,
-        that injects that fault there and whose trace shows a surface.
-        `_enclosing_surfaces` keeps what `_surface_in` read, by execution
-        identity and enclosing index. A history that was replaced or
-        shortened since the last call is indexed again from the start.
+        that injects that fault there and whose trace shows a surface. A
+        history that was replaced or shortened since the last call is
+        indexed again from the start.
         """
         indexed_list, start = self._indexed
         if indexed_list is not self.executions or start > len(self.executions):
             self._by_plan_key.clear()
             self._nested_surfaces.clear()
-            self._enclosing_surfaces.clear()
             start = 0
         for ex in self.executions[start:]:
             self._by_plan_key[ex.plan.key()] = ex
@@ -136,22 +150,10 @@ class SearchReport:
                     continue
                 key = (dei, spec.fault_type)
                 if key not in self._nested_surfaces:
-                    surface = _surface_of_enclosing(ex.trace, dei.prefix())
+                    surface = ex.surfaces.get(dei.prefix())
                     if surface is not None:
                         self._nested_surfaces[key] = surface
         self._indexed = (self.executions, len(self.executions))
-
-    def _surface_in(
-        self, ex: ExecutedPlan, enclosing: DistributedExecutionIndex
-    ) -> dict[str, Any] | None:
-        """The surface of `enclosing` in `ex`'s trace, read once per pair.
-        The memo keeps `ex` beside its surface, so no other execution can
-        take its id while the entry stands."""
-        key = (id(ex), enclosing)
-        kept = self._enclosing_surfaces.get(key)
-        if kept is None:
-            kept = self._enclosing_surfaces[key] = (ex, _surface_of_enclosing(ex.trace, enclosing))
-        return kept[1]
 
     @property
     def total_executed(self) -> int:
@@ -210,20 +212,6 @@ class ReductionDecision:
     reason: str = ""
 
 
-def _surface_of_enclosing(
-    trace: ExecutionTrace, enclosing: DistributedExecutionIndex
-) -> dict[str, Any] | None:
-    """The enclosing RPC's observed outcome (completion or injected fault)."""
-    for event in trace.events:
-        if event.dei == enclosing and event.kind in ("completion", "fault_injected"):
-            if event.kind == "fault_injected":
-                return {"fault": event.outcome.get("fault")} if event.outcome else None
-            if event.outcome and "fault" in event.outcome:
-                return {"fault": event.outcome["fault"]}
-            return event.outcome
-    return None
-
-
 def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionDecision:
     """Decide whether service encapsulation makes a candidate plan redundant.
 
@@ -255,8 +243,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
         previous = history._by_plan_key.get(sibling)
         if previous is None:
             continue
-        prev_surface = history._surface_in(previous, enclosing)
-        if prev_surface == surface:
+        if previous.surfaces.get(enclosing) == surface:
             return ReductionDecision(
                 prune=True,
                 reason=(
@@ -304,15 +291,16 @@ def explore(
             )
         trace = run_execution(app, entry, plan, **options)
         report.executions.append(ExecutedPlan(plan=plan, trace=trace))
-        for dei in trace.invocation_deis():
-            report.discovered_deis.add(dei)
         # Extend only with RPCs that are not causally before an injected
         # fault: failing an earlier RPC could make the planned faults
         # unreachable, and causal (rather than observed) order keeps the
         # generated plan set identical across schedules.
         fault_events = [e for e in trace.events if e.kind == "fault_injected"]
         for event in trace.invocation_events():
-            if event.dei is None or event.dei in plan:
+            if event.dei is None:
+                continue
+            report.discovered_deis.add(event.dei)
+            if event.dei in plan:
                 continue
             if any(event.causally_precedes(f) for f in fault_events):
                 continue

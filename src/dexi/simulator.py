@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import json
 import random
 import threading
@@ -701,7 +700,6 @@ class _Execution:
                          if identities.config.is_full and scheduler.mode == "virtual" else None)
         self._issued: list[str] = []  # every warning issued, repeats included
         self._lock = threading.Lock()
-        self._seq = itertools.count()
         self._steps = 0
 
     # -- bookkeeping
@@ -721,7 +719,7 @@ class _Execution:
                outcome: dict[str, Any] | None = None,
                lineage: tuple[int, ...] = ()) -> None:
         with self._lock:
-            self.events.append(RpcEvent._make((kind, next(self._seq), caller, callee, method,
+            self.events.append(RpcEvent._make((kind, len(self.events), caller, callee, method,
                                                dei, preliminary_dei, payload, outcome, lineage)))
 
     def warn(self, message: str) -> None:
@@ -862,7 +860,7 @@ class _Execution:
                 task = event.lineage
                 if moved:
                     task = self.identities.lineage(lineage, task[kept:])
-                self.events.append(RpcEvent._make((event[0], next(self._seq), *event[2:9], task)))
+                self.events.append(RpcEvent._make((event[0], len(self.events), *event[2:9], task)))
         for message in record.warnings:
             self.warn(message)
         if record.failure is not None:

@@ -27,7 +27,6 @@ from dexi.search import (
     ReductionDecision,
     SearchReport,
     _plan_json,
-    _surface_of_enclosing,
 )
 from dexi.simulator import ExecutionTrace, FaultPlan, FaultSpec, run_execution
 
@@ -237,6 +236,20 @@ def rpc_site_count(app: Application) -> int:
         if isinstance(stmt, (RpcStmt, OpenStream)):
             sites += 1
     return sites
+
+
+def _surface_of_enclosing(
+    trace: ExecutionTrace, enclosing: DistributedExecutionIndex
+) -> dict[str, Any] | None:
+    """The enclosing RPC's observed outcome (completion or injected fault)."""
+    for event in trace.events:
+        if event.dei == enclosing and event.kind in ("completion", "fault_injected"):
+            if event.kind == "fault_injected":
+                return {"fault": event.outcome.get("fault")} if event.outcome else None
+            if event.outcome and "fault" in event.outcome:
+                return {"fault": event.outcome["fault"]}
+            return event.outcome
+    return None
 
 
 def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionDecision:

@@ -49,6 +49,17 @@ class TestExplore:
         status = run_cli(["explore", "--corpus", tmp_path / "missing"])
         assert status != 0
 
+    def test_unknown_entry_is_one_error_line(self, capsys):
+        assert run_cli(["explore", "--entry", "nope"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown corpus entry nope"]
+
+    def test_missing_corpus_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run_cli(["explore", "--corpus", missing]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: corpus directory {missing} does not exist"
+        ]
+
     def test_budget_exhaustion_nonzero(self, tmp_path, capsys):
         status = run_cli(["explore", "--entry", "figure-5", "--budget", 2])
         assert status != 0

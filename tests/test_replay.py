@@ -100,6 +100,10 @@ class TestTracesMatchFreshRuns:
                         for e in ex.trace.events if e.kind == "completion")
         assert calls["replay"] > 0 and runs < delivered
         assert_traces_fresh(app, entry, report)
+        # Sequence numbers are trace positions, in a fresh and a replayed run.
+        fresh = run_execution(app, entry, seed=SEED)
+        for trace in [fresh] + [ex.trace for ex in report.executions]:
+            assert [e.sequence_number for e in trace.events] == list(range(len(trace.events)))
 
 
 class TestReplayBoundaries:

@@ -10,11 +10,12 @@ import pytest
 
 from dexi import indexing, search
 from dexi.experiment import build_hello_world_app
-from dexi.indexing import FULL_CONFIG, config_from_label
+from dexi.indexing import CONFIG_LABELS, FULL_CONFIG, config_from_label
 from dexi.programs import Application, Const, Endpoint, EntryRequest, Return, ServiceProgram
 from dexi.search import (
     BudgetExceededError,
     CatalogError,
+    ExecutedPlan,
     FaultCatalog,
     ReductionDecision,
     SearchReport,
@@ -23,9 +24,15 @@ from dexi.search import (
     explore,
     reconstruct_graph,
 )
-from dexi.simulator import FaultPlan, FaultSpec, run_execution
+from dexi.simulator import ExecutionTrace, FaultPlan, FaultSpec, RpcEvent, run_execution
 
-from helpers import build_figure1, build_nested, reference_dynamic_reduction, symbolic
+from helpers import (
+    _surface_of_enclosing,
+    build_figure1,
+    build_nested,
+    reference_dynamic_reduction,
+    symbolic,
+)
 
 
 class TestExploreCounts:
@@ -314,7 +321,7 @@ def _run_against_reference(monkeypatch, app, entry, config, catalog=None):
 
 
 class TestIndexedReduction:
-    @pytest.mark.parametrize("label", ["full", "filibuster"])
+    @pytest.mark.parametrize("label", sorted(CONFIG_LABELS))
     def test_matches_reference_on_corpus(self, corpus, monkeypatch, label):
         for entry in corpus.values():
             _run_against_reference(
@@ -373,28 +380,38 @@ class TestIndexedReduction:
         for plan in candidates:
             assert dynamic_reduction(plan, manual) == reference_dynamic_reduction(plan, manual)
 
-    def test_enclosing_surface_read_once_per_pair(self, monkeypatch):
+    def test_surface_map_built_once(self):
         app, entry = build_nested(mids=3, leaves=2)
         explored = explore(app, entry, FaultCatalog.uniform(app), reduction_enabled=True)
         history = SearchReport(config=FULL_CONFIG, reduction_enabled=True)
         history.executions = explored.executions
-        history._index_executions()
-        reads = []
-        surface_of = search._surface_of_enclosing
-        monkeypatch.setattr(search, "_surface_of_enclosing", lambda trace, enclosing: (
-            reads.append((id(trace), enclosing)) or surface_of(trace, enclosing)))
         plans = [p.plan for p in explored.pruned] + [ex.plan for ex in explored.executions]
         decisions = [dynamic_reduction(plan, history) for plan in plans]
         assert decisions == [reference_dynamic_reduction(plan, history) for plan in plans]
         assert sum(d.prune for d in decisions) == len(explored.pruned)
-        assert reads and len(reads) == len(set(reads))
-        read = len(reads)
+        maps = [ex.surfaces for ex in history.executions]
         assert [dynamic_reduction(plan, history) for plan in plans] == decisions
-        assert len(reads) == read
-        # A replaced history is indexed again, and its surfaces read again.
-        history.executions = list(history.executions)
-        history._index_executions()
-        assert not history._enclosing_surfaces
+        assert all(ex.surfaces is built for ex, built in zip(history.executions, maps))
+        for ex in history.executions:
+            for dei in {e.dei for e in ex.trace.events if e.dei is not None}:
+                assert ex.surfaces.get(dei) == _surface_of_enclosing(ex.trace, dei)
+        # A replaced history is indexed again: the baseline alone prunes nothing.
+        history.executions = history.executions[:1]
+        assert not any(dynamic_reduction(plan, history).prune for plan in plans)
+
+    def test_surface_map_keeps_the_first_outcome(self):
+        app, entry = build_figure1()
+        dei = run_execution(app, entry).invocation_deis()[0]
+        trace = ExecutionTrace(
+            events=tuple(
+                RpcEvent("completion", seq, "a", "b", "get", dei=dei, outcome=outcome)
+                for seq, outcome in enumerate([{"value": "b[e:r1]"}, {"fault": "timeout"}])
+            ),
+            entry_request=entry, entry_outcome={"value": ""}, seed=0,
+            scheduler_mode="virtual", config=FULL_CONFIG,
+        )
+        surfaces = ExecutedPlan(plan=FaultPlan(), trace=trace).surfaces
+        assert surfaces[dei] == _surface_of_enclosing(trace, dei) == {"value": "b[e:r1]"}
 
     def test_plan_key_computed_once(self):
         app, entry = build_figure1()
