@@ -8,15 +8,12 @@ to reproduce under named instantiation configs.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .indexing import CONFIG_LABELS, DexiError
 from .programs import Application, EntryRequest, parse_application
-
-CORPUS_ENV_VAR = "DEXI_CORPUS"
 
 
 class CorpusError(DexiError):
@@ -33,10 +30,7 @@ class CorpusEntry:
 
 
 def default_corpus_dir() -> Path:
-    """The bundled corpus directory, overridable via the environment."""
-    override = os.environ.get(CORPUS_ENV_VAR)
-    if override:
-        return Path(override)
+    """The bundled corpus directory."""
     return Path(__file__).resolve().parents[2] / "corpus"
 
 

@@ -165,12 +165,7 @@ class SearchReport:
         }
 
     def warnings(self) -> list[str]:
-        seen: list[str] = []
-        for ex in self.executions:
-            for w in ex.trace.warnings:
-                if w not in seen:
-                    seen.append(w)
-        return seen
+        return list(dict.fromkeys(w for ex in self.executions for w in ex.trace.warnings))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -349,10 +349,13 @@ class ExecutionTrace:
         an index's wire text to the index it decoded to, and `records` maps
         an event line's text to the event it built; both gain new entries.
         Pass the same dicts to traces loaded together: a repeated line then
-        reuses its event, unparsed, and each distinct wire text is decoded
-        once. Only lines that built an event are kept, so a malformed line
-        fails in every trace that holds it. Traces loaded so share their
-        events, `payload` and `outcome` included: do not mutate them.
+        reuses its event, unparsed, and each wire text becomes one index
+        object, which the lookups of `reconstruct_graph` then match by
+        identity instead of by `__eq__`: that, not decode time, is what
+        `decoded` saves (README, "Trace files"). Only lines that built an
+        event are kept, so a malformed line fails in every trace that holds
+        it. Traces loaded so share their events, `payload` and `outcome`
+        included: do not mutate them.
         """
         decoded = {} if decoded is None else decoded
         records = {} if records is None else records
@@ -555,12 +558,16 @@ class IdentityTable:
     one per distinct wire text, and the task paths of spawned blocks.
     `subtrees` keeps what a delivered RPC's callee did, by replay key (see
     `_Execution.handle`). `explore` shares one table among its executions;
-    any other run builds its own. An execution runs under its table's
-    `config`."""
+    any other run builds its own. An execution runs the table's `app` under
+    its `config`."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
+        self.app = app
         self.config = config
         self.endpoints = _compile_endpoints(app)
+        # Few calls reach these (at most a few dozen per exploration), but
+        # without them a call site digests its signature and stack again for
+        # each new argument value: 8 digests for the 2 RPCs of figure-6-stream.
         self._signature = functools.cache(app.signature)
         self._stack = functools.cache(CallStackDigest.from_frames)
         self._invocations: dict[tuple, InvocationSignature] = {}
@@ -659,8 +666,8 @@ class _HandlerCtx:
 class _Subtree(NamedTuple):
     """What a delivered RPC's callee did, kept for replay: its value or its
     failure descriptor, the events it recorded (their task paths extend
-    `lineage`, the caller's), the warnings it issued in order, the steps it
-    took and the indexes it assigned."""
+    `lineage`, the caller's), the distinct warnings it issued in order, the
+    steps it took and the indexes it assigned."""
 
     value: Any
     failure: dict[str, Any] | None
@@ -676,15 +683,8 @@ _UNSEEN = object()
 
 class _Execution:
     def __init__(
-        self,
-        app: Application,
-        plan: FaultPlan,
-        scheduler,
-        budget: int,
-        identities: IdentityTable,
+        self, plan: FaultPlan, scheduler, budget: int, identities: IdentityTable
     ) -> None:
-        self.app = app
-        self.endpoints = identities.endpoints
         self.plan = plan
         self.identities = identities
         self.scheduler = scheduler
@@ -698,15 +698,15 @@ class _Execution:
         # them: under the full instantiation, and without real threads.
         self.subtrees = (identities.subtrees
                          if identities.config.is_full and scheduler.mode == "virtual" else None)
-        self._issued: list[str] = []  # every warning issued, repeats included
         self._lock = threading.Lock()
         self._steps = 0
 
     # -- bookkeeping
 
-    def step(self) -> None:
+    def step(self, steps: int = 1) -> None:
+        """Charge `steps` statements to the budget; a replay charges all of its."""
         with self._lock:
-            self._steps += 1
+            self._steps += steps
             if self._steps > self.budget:
                 raise StepBudgetExceededError(
                     f"execution exceeded its step budget of {self.budget}"
@@ -724,9 +724,7 @@ class _Execution:
 
     def warn(self, message: str) -> None:
         with self._lock:
-            self._issued.append(message)
-            if message not in self.warnings:
-                self.warnings.append(message)
+            self.warnings.append(message)  # repeats included; traces keep the first
 
     # -- index assignment
 
@@ -775,7 +773,7 @@ class _Execution:
     # -- RPC dispatch
 
     def dispatch_entry(self, entry: EntryRequest) -> dict[str, Any]:
-        self.app.validate_entry(entry)
+        self.identities.app.validate_entry(entry)
         try:
             return {"value": self.handle(entry.service, entry.method, entry.args, None, ())}
         except (RpcFailure, HandlerAbort) as failure:
@@ -798,16 +796,16 @@ class _Execution:
         rewrites, or a map argument (canonical bytes ignore key order and
         `str()` does not). A callee without rpc statements is too cheap to key.
         """
-        endpoint = self.endpoints.get((service, method))
+        endpoint = self.identities.endpoints.get((service, method))
         if endpoint is None:
-            self.app.endpoint(service, method)  # raises the ProgramError naming it
+            self.identities.app.endpoint(service, method)  # raises the ProgramError naming it
         if (final is not None and endpoint.issues_rpcs and self.subtrees is not None
                 and not self.rewrites and not any(map(_holds_map, args.values()))):
             key = (final, self.plan.below(final))
             record = self.subtrees.get(key, _UNSEEN)
             if record is _UNSEEN:
                 return self._record(key, service, method, args, metadata, lineage)
-            if record is not None and self._steps + record.steps <= self.budget:
+            if record is not None:
                 return self._replay(record, lineage)
         path = self.identities.path(metadata)
         # The handler's own copy of each list and map argument: it may append.
@@ -826,7 +824,7 @@ class _Execution:
     def _record(self, key: tuple, service: str, method: str, args: Mapping[str, Any],
                 metadata: Mapping[str, str] | None, lineage: tuple[int, ...]) -> Any:
         """Run the subtree and keep what it did under `key`."""
-        events, issued, steps = len(self.events), len(self._issued), self._steps
+        events, issued, steps = len(self.events), len(self.warnings), self._steps
         draws = self.scheduler.draws
         try:
             value, failure = self.handle(service, method, args, metadata, lineage), None
@@ -835,7 +833,7 @@ class _Execution:
         recorded = tuple(self.events[events:])
         if draws == self.scheduler.draws and all(e.kind != "stream_opened" for e in recorded):
             self.subtrees[key] = _Subtree(
-                value, failure, recorded, lineage, tuple(dict.fromkeys(self._issued[issued:])),
+                value, failure, recorded, lineage, tuple(dict.fromkeys(self.warnings[issued:])),
                 self._steps - steps, tuple([e.dei for e in recorded if e.kind == "invocation"]),
             )
         else:
@@ -848,21 +846,21 @@ class _Execution:
 
     def _replay(self, record: _Subtree, lineage: tuple[int, ...]) -> Any:
         """Append a recorded subtree's events under this caller, as its run
-        would have: fresh sequence numbers, the caller's task path."""
+        would have: fresh sequence numbers, the caller's task path. Its steps
+        are charged first, so past the budget it raises what its run would."""
+        self.step(record.steps)
         for dei in record.indexes:  # virtual scheduler: no other thread
             if dei in self.assigned:
                 self._collision(dei)
             self.assigned.add(dei)
         moved, kept = lineage != record.lineage, len(record.lineage)
         with self._lock:
-            self._steps += record.steps
             for event in record.events:
                 task = event.lineage
                 if moved:
                     task = self.identities.lineage(lineage, task[kept:])
                 self.events.append(RpcEvent._make((event[0], len(self.events), *event[2:9], task)))
-        for message in record.warnings:
-            self.warn(message)
+        self.warnings.extend(record.warnings)
         if record.failure is not None:
             raise RpcFailure(record.failure)
         return record.value
@@ -1366,11 +1364,13 @@ def run_sequence(
     The execution runs under the instantiation of `identities`, the table
     `explore` shares among its executions; without a table it builds one
     for `config` (the full instantiation by default). A table built for
-    another `config`, or a plan key outside the instantiation's identifier
-    space, is rejected before the first RPC.
+    another `app` or `config`, or a plan key outside the instantiation's
+    identifier space, is rejected before the first RPC.
     """
     if identities is None:
         identities = IdentityTable(app, FULL_CONFIG if config is None else config)
+    elif identities.app is not app:  # once per execution: identity, not equality
+        raise DexiError("identity table built for another application")
     elif config is not None and config != identities.config:
         raise DexiError(f"identity table built for {identities.config}, "
                         f"not for the requested {config}")
@@ -1382,8 +1382,7 @@ def run_sequence(
                 "active instantiation"
             )
     sched = _make_scheduler(scheduler, seed, pool_size)
-    execution = _Execution(app=app, plan=plan, scheduler=sched, budget=budget,
-                           identities=identities)
+    execution = _Execution(plan=plan, scheduler=sched, budget=budget, identities=identities)
     traces = []
     try:
         for entry in entries:
@@ -1396,7 +1395,7 @@ def run_sequence(
                 seed=seed,
                 scheduler_mode=sched.mode,
                 config=identities.config,
-                warnings=tuple(execution.warnings),
+                warnings=tuple(dict.fromkeys(execution.warnings)),
             ))
     except RecursionError:
         # Without paths an index does not show its depth, so MAX_INDEX_DEPTH

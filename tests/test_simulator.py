@@ -908,6 +908,23 @@ class TestRunSequence:
             run_execution(entry.app, entry.entry_request, config=indexing.FULL_CONFIG,
                           identities=table)
 
+    def test_table_built_for_another_app_is_rejected(self):
+        def returning(value: str) -> Application:
+            return parse_application({"services": [{"name": "a", "endpoints": [
+                {"method": "go", "params": [],
+                 "body": [{"op": "return", "value": {"const": value}}]}]}]})
+
+        entry = EntryRequest(service="a", method="go", args={})
+        app_a = returning("from-A")
+        table = simulator.IdentityTable(app_a, indexing.FULL_CONFIG)
+        [trace] = run_sequence(app_a, [entry], identities=table)
+        assert trace.entry_outcome == {"value": "from-A"}
+        # The table holds the programs it compiled: running it for another
+        # app, even an equal one built apart, would run app A's programs.
+        for other in (returning("from-B"), returning("from-A")):
+            with pytest.raises(DexiError, match="^identity table built for another application$"):
+                run_sequence(other, [entry], identities=table)
+
     def test_entries_share_counter_state(self, corpus):
         entry = corpus["figure-2"]
         traces = run_sequence(entry.app, [entry.entry_request, entry.entry_request])
