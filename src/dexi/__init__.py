@@ -9,7 +9,6 @@ reduction (`search`), and the bundled example corpus plus CLI.
 from .indexing import (
     CONFIG_LABELS,
     CallStackDigest,
-    CallStackPolicy,
     CounterState,
     DistributedExecutionIndex,
     EMPTY_INDEX,
@@ -55,7 +54,6 @@ __all__ = [
     "CONFIG_LABELS",
     "Application",
     "CallStackDigest",
-    "CallStackPolicy",
     "CorpusEntry",
     "CounterState",
     "DistributedExecutionIndex",

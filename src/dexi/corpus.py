@@ -34,13 +34,17 @@ def default_corpus_dir() -> Path:
     return Path(__file__).resolve().parents[2] / "corpus"
 
 
-def _load_entry(path: Path) -> CorpusEntry:
+def load_entry(path: Path) -> CorpusEntry:
+    """Load one corpus document. Any fault in it is a `CorpusError` naming
+    the file."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CorpusError(f"cannot read corpus document {path.name}: {exc}") from exc
     try:
         name = doc["name"]
+        if not isinstance(name, str):
+            raise TypeError(f"'name' must be a string, not {type(name).__name__}")
         app = parse_application(doc)
         entry_doc = doc["entry"]
         entry = EntryRequest(
@@ -49,7 +53,10 @@ def _load_entry(path: Path) -> CorpusEntry:
             args=dict(entry_doc.get("args", {})),
         )
         app.validate_entry(entry)
-        expected = {str(k): int(v) for k, v in doc.get("expected_counts", {}).items()}
+        counts = doc.get("expected_counts", {})
+        if not isinstance(counts, dict):
+            raise TypeError(f"'expected_counts' must be a map, not {type(counts).__name__}")
+        expected = {str(k): int(v) for k, v in counts.items()}
         for label in expected:
             if label not in CONFIG_LABELS:
                 raise CorpusError(f"unknown config label {label!r} in expected_counts")
@@ -73,7 +80,7 @@ def load_corpus(path: Path | str | None = None) -> list[CorpusEntry]:
         raise CorpusError(f"corpus directory {directory} does not exist")
     entries: dict[str, CorpusEntry] = {}
     for doc_path in sorted(directory.glob("*.json")):
-        entry = _load_entry(doc_path)
+        entry = load_entry(doc_path)
         if entry.name in entries:
             raise CorpusError(f"duplicate corpus entry name {entry.name!r}")
         entries[entry.name] = entry

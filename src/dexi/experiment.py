@@ -11,64 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corpus import default_corpus_dir, load_entry
 from .indexing import DexiError
-from .programs import (
-    Application,
-    AwaitAll,
-    Concat,
-    Const,
-    Endpoint,
-    EntryRequest,
-    Join,
-    Loop,
-    Return,
-    Rpc,
-    ServiceProgram,
-    Spawn,
-    Var,
-)
+from .programs import Application, EntryRequest
 from .simulator import run_execution
 
 
 def build_hello_world_app() -> Application:
-    """Hello fans out one RPC per incoming tag; World echoes a constant."""
-    hello_body = (
-        Loop(
-            var="tag",
-            items=Var("tags"),
-            line=4,
-            body=(
-                Spawn(
-                    futures="fs",
-                    line=5,
-                    body=(
-                        Rpc(
-                            service="world",
-                            method="get",
-                            args=(("tag", Var("tag")),),
-                            line=6,
-                            assign="r",
-                        ),
-                        Return(Var("r")),
-                    ),
-                ),
-            ),
-        ),
-        AwaitAll(futures="fs", line=8, assign="rs"),
-        Return(Join(items=Var("rs"), sep=" ")),
-    )
-    world_body = (Return(Concat((Const("world-"), Var("tag")))),)
-    hello = ServiceProgram(
-        name="hello",
-        endpoints={
-            "greet": Endpoint(method="greet", params=(("tags", "List"),), body=hello_body)
-        },
-    )
-    world = ServiceProgram(
-        name="world",
-        endpoints={"get": Endpoint(method="get", params=(("tag", "String"),), body=world_body)},
-    )
-    return Application(services={"hello": hello, "world": world})
+    """The `hello-world-concurrency` corpus app: hello fans out one RPC per
+    incoming tag; world echoes a constant."""
+    return load_entry(default_corpus_dir() / "hello-world-concurrency.json").app
 
 
 def hello_world_entry(n_rpcs: int) -> EntryRequest:
@@ -125,7 +77,6 @@ def run_nondeterminism_experiment(
         raise DexiError("n_rpcs, pool_size, and iterations must all be >= 1")
     app = build_hello_world_app()
     entry = hello_world_entry(n_rpcs)
-    expected = [f"t{i:03d}" for i in range(n_rpcs)]
     records = []
     for _ in range(iterations):
         trace = run_execution(app, entry, scheduler="threads", pool_size=pool_size)
@@ -136,7 +87,7 @@ def run_nondeterminism_experiment(
         ]
         records.append(
             IterationRecord(
-                matched_creation_order=(observed == expected),
+                matched_creation_order=(observed == entry.args["tags"]),
                 dei_multiset=trace.dei_multiset(),
             )
         )

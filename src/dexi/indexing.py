@@ -143,41 +143,14 @@ EMPTY_PAYLOAD = InvocationPayload()
 
 
 @dataclass(frozen=True)
-class CallStackPolicy:
-    """Deny-list of frame patterns removed before a stack is digested.
-
-    Runtime-internal frames (thread dispatch, executor plumbing) vary with
-    scheduling decisions and would otherwise leak the schedule into the
-    identifier.
-    """
-
-    deny_patterns: tuple[str, ...] = (r"^<runtime>",)
-
-    def keep(self, source_location: str) -> bool:
-        return not any(re.search(p, source_location) for p in self.deny_patterns)
-
-
-DEFAULT_STACK_POLICY = CallStackPolicy()
-
-
-@dataclass(frozen=True)
 class CallStackDigest:
-    """Filtered call-stack frames plus their fixed-width digest."""
+    """Call-stack frames plus their fixed-width digest."""
 
     frames: tuple[tuple[str, str], ...] = ()
     digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digest", _digest(canonical_bytes(list(self.frames))))
-
-    @classmethod
-    def from_frames(
-        cls,
-        frames: Iterable[tuple[str, str]],
-        policy: CallStackPolicy = DEFAULT_STACK_POLICY,
-    ) -> CallStackDigest:
-        kept = tuple((loc, sym) for loc, sym in frames if policy.keep(loc))
-        return cls(frames=kept)
 
     def render(self) -> str:
         return ",".join(loc.rsplit(":", 1)[-1] for loc, _ in self.frames)

@@ -224,9 +224,9 @@ class RpcEvent(NamedTuple):
         return cls(
             kind=doc["kind"],
             sequence_number=doc["seq"],
-            caller=doc.get("caller", ""),
-            callee=doc.get("callee", ""),
-            method=doc.get("method", ""),
+            caller=_text(doc, "caller", ""),
+            callee=_text(doc, "callee", ""),
+            method=_text(doc, "method", ""),
             dei=_decode(doc["dei"], decoded) if "dei" in doc else None,
             preliminary_dei=(
                 _decode(doc["preliminary_dei"], decoded) if "preliminary_dei" in doc else None
@@ -235,6 +235,14 @@ class RpcEvent(NamedTuple):
             outcome=doc.get("outcome"),
             lineage=tuple(doc.get("task", [])),
         )
+
+
+def _text(doc: Mapping[str, Any], name: str, default: str | None = None) -> str:
+    """The string field `name` of a trace record, or `default` when absent."""
+    value = doc[name] if default is None else doc.get(name, default)
+    if not isinstance(value, str):
+        raise DexiError(f"field {name!r} must be a string, not {type(value).__name__}")
+    return value
 
 
 def _decode(text: str, decoded: dict[str, DistributedExecutionIndex]) -> DistributedExecutionIndex:
@@ -378,7 +386,8 @@ class ExecutionTrace:
                     continue
                 entry = doc["entry"]
                 header = {
-                    "entry_request": EntryRequest(entry["service"], entry["method"], entry["args"]),
+                    "entry_request": EntryRequest(_text(entry, "service"), _text(entry, "method"),
+                                                  entry["args"]),
                     "entry_outcome": doc.get("entry_outcome", {}),
                     "seed": doc.get("seed", 0),
                     "scheduler_mode": doc.get("scheduler", "virtual"),
@@ -418,35 +427,34 @@ class HandlerAbort(Exception):
 # Schedulers
 
 
+_AWAIT_CYCLE = "await cycle: a spawned block awaits a block that is waiting for it"
+
+
 class _TaskHandle:
     """A spawned block. It runs once, when it is first awaited; a block that
     is never awaited never runs."""
 
     def __init__(self, runner: Callable[[], Any]) -> None:
         self.runner = runner
+        self.owner: int | None = None  # the thread that claimed it, under threads
         self.done = False
         self.value: Any = None
         self.error: Exception | None = None
-        self._lock = threading.RLock()
 
     def finish(self) -> None:
-        # A top-level block can be awaited by its spawner's and a sibling
-        # block's threads at once: the second waits here for the first run.
-        with self._lock:
-            # Drop the runner first: its closure reaches this handle through
-            # the spawning scope, and the cycle would outlive the execution.
-            runner, self.runner = self.runner, None
-            if runner is None:
-                if not self.done:  # awaited from inside its own run
-                    raise DexiError("await cycle: a spawned block awaits a block that "
-                                    "is waiting for it")
-                return
-            try:
-                self.value = runner()
-            except Exception as exc:  # surfaced at await_all, in creation order
-                # Its traceback reaches this handle through the frames.
-                self.error = exc.with_traceback(None)
-            self.done = True
+        # Drop the runner first: its closure reaches this handle through
+        # the spawning scope, and the cycle would outlive the execution.
+        runner, self.runner = self.runner, None
+        if runner is None:
+            if not self.done:  # awaited from inside its own run
+                raise DexiError(_AWAIT_CYCLE)
+            return
+        try:
+            self.value = runner()
+        except Exception as exc:  # surfaced at await_all, in creation order
+            # Its traceback reaches this handle through the frames.
+            self.error = exc.with_traceback(None)
+        self.done = True
 
 
 class VirtualScheduler:
@@ -499,15 +507,43 @@ class ThreadScheduler:
         self._executor = ThreadPoolExecutor(max_workers=pool_size)
         self._rng = random.SystemRandom()
         self._entry_thread = threading.get_ident()
+        # Guards each handle's claim; `_blocked` maps each thread waiting for
+        # a block that another thread runs to that block's handle.
+        self._turn = threading.Condition()
+        self._blocked: dict[int, _TaskHandle] = {}
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         waiting = [h for h in handles if not h.done]
         if threading.get_ident() == self._entry_thread:
-            for future in [self._executor.submit(h.finish) for h in waiting]:
+            for future in [self._executor.submit(self._finish, h) for h in waiting]:
                 future.result()
         else:
             for handle in waiting:
-                handle.finish()
+                self._finish(handle)
+
+    def _finish(self, handle: _TaskHandle) -> None:
+        """Run the block, or wait for the thread that runs it. A block can be
+        awaited by its spawner's and a sibling block's threads at once. Before
+        waiting, follow the wait-for chain from the block's owner: if it comes
+        back to this thread, no thread on it can ever go on."""
+        me = threading.get_ident()
+        with self._turn:
+            while handle.owner not in (None, me) and not handle.done:
+                thread = handle.owner
+                while thread in self._blocked and not self._blocked[thread].done:
+                    thread = self._blocked[thread].owner
+                if thread == me:
+                    raise DexiError(_AWAIT_CYCLE)
+                self._blocked[me] = handle
+                self._turn.wait()
+                del self._blocked[me]
+            if handle.owner is None:
+                handle.owner = me
+        try:
+            handle.finish()
+        finally:
+            with self._turn:
+                self._turn.notify_all()
 
     def pre_dispatch(self) -> None:
         time.sleep(self._rng.uniform(0.0, DISPATCH_JITTER_SECONDS))
@@ -569,7 +605,7 @@ class IdentityTable:
         # without them a call site digests its signature and stack again for
         # each new argument value: 8 digests for the 2 RPCs of figure-6-stream.
         self._signature = functools.cache(app.signature)
-        self._stack = functools.cache(CallStackDigest.from_frames)
+        self._stack = functools.cache(CallStackDigest)
         self._invocations: dict[tuple, InvocationSignature] = {}
         self.by_digest: dict[tuple[str, str, str], InvocationSignature] = {}
         self._indexes: dict[tuple, DistributedExecutionIndex] = {}
@@ -994,12 +1030,6 @@ class _Execution:
 _NEXT = object()
 _BREAK = object()
 
-# Concurrent blocks start on a fresh call stack, the way a task handed to an
-# executor would; the dispatch frame itself is runtime-internal and is
-# deny-listed out of the digest.
-_DISPATCH_FRAMES = (("<runtime>/dispatch.py:0", "task_dispatch"),)
-
-
 class _CompiledEndpoint:
     __slots__ = ("service", "params", "run", "returns", "issues_rpcs")
 
@@ -1184,9 +1214,10 @@ class _Compiler:
 
                 def run(ex, ctx):
                     handles = _as_list(ctx.scope.setdefault(futures, []))
-                    # The block spawns into, and awaits, its own futures list
-                    # under this name, not the parent's.
-                    block_ctx = ctx.child({**ctx.scope, futures: []}, _DISPATCH_FRAMES,
+                    # The block starts on an empty call stack, as a task handed
+                    # to an executor does. It spawns into, and awaits, its own
+                    # futures list under this name, not the parent's.
+                    block_ctx = ctx.child({**ctx.scope, futures: []}, (),
                                           ex.identities.lineage(ctx.lineage, (len(handles),)))
                     handles.append(_TaskHandle(lambda: block(ex, block_ctx)))
                     return _NEXT

@@ -12,6 +12,7 @@ import pytest
 
 import dexi
 from dexi.cli import main
+from dexi.corpus import default_corpus_dir
 from dexi.indexing import DexiError
 
 
@@ -224,6 +225,30 @@ class TestGraph:
         assert len(err) == 1
         assert err[0].startswith(f"error: {bad}: line ")
 
+    @pytest.mark.parametrize("value", [["b"], None], ids=["list", "null"])
+    @pytest.mark.parametrize("field", ["entry.service", "entry.method", "caller", "callee",
+                                       "method"])
+    def test_non_string_name_rejected(self, tmp_path, capsys, field, value):
+        assert run_cli(["explore", "--entry", "figure-6-stream", "--out", tmp_path / "r.json",
+                        "--traces-out", tmp_path]) == 0
+        trace = sorted(tmp_path.glob("*.jsonl"))[0]
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        # The header is line 1; the first event with the field is changed.
+        if field.startswith("entry."):
+            number, record = 1, records[0]["entry"]
+            field = field.removeprefix("entry.")
+        else:
+            number = next(n for n, r in enumerate(records[1:], 2) if field in r)
+            record = records[number - 1]
+        record[field] = value
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli(["graph", trace]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {trace}: line {number}: field '{field}' must be a "
+                                 "string")
+
 
 class TestUnwritablePaths:
     @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
@@ -362,6 +387,55 @@ class TestAwaitCycle:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: cycle: await cycle: ")
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize("field,value,kind", [
+        ("expected_counts", None, "a map, not NoneType"),
+        ("name", None, "a string, not NoneType"),
+        ("name", ["x"], "a string, not list"),
+    ], ids=["counts-null", "name-null", "name-list"])
+    def test_wrong_field_type_is_one_error_line(self, tmp_path, capsys, field, value, kind):
+        doc = json.loads((default_corpus_dir() / "figure-2.json").read_text())
+        doc[field] = value
+        (tmp_path / "x.json").write_text(json.dumps(doc))
+        assert run_cli(["explore", "--corpus", tmp_path, "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: corpus entry x.json is malformed: '{field}' must be {kind}"
+        ]
+
+
+class TestAwaitCycleAcrossWorkers:
+    def test_cycle_is_an_error_under_threads(self):
+        # Each `l1` block first makes an RPC, so the two workers run one
+        # `l1` block each and can meet in the cycle from both ends. A hang
+        # cannot be interrupted inside pytest, hence the subprocess.
+        body = await_cycle_body()
+        rpc = {"op": "rpc", "service": "b", "method": "get", "line": 11,
+               "args": {"x": {"const": "x"}}}
+        for statement in body:
+            if statement.get("futures") == "l1" and statement["op"] == "spawn":
+                statement["body"].insert(0, rpc)
+        script = f"""
+import json
+from dexi.indexing import DexiError
+from dexi.programs import EntryRequest, parse_application
+from dexi.simulator import run_execution
+app = parse_application(json.loads({json.dumps(json.dumps(one_handler_entry("cycle", body)))}))
+for _ in range(50):
+    try:
+        run_execution(app, EntryRequest("a", "go", {{}}), scheduler="threads", pool_size=2)
+    except DexiError as exc:
+        assert str(exc).startswith("await cycle: "), exc
+    else:
+        raise AssertionError("no await cycle error")
+print("50 cycles")
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(dexi.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "50 cycles\n"
 
 
 class TestCorpusValues:

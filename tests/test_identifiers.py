@@ -11,7 +11,6 @@ import pytest
 from dexi.indexing import (
     ArityMismatchError,
     CallStackDigest,
-    CallStackPolicy,
     CounterState,
     DecodeError,
     DexiError,
@@ -49,7 +48,7 @@ def inv(payload_value: str | None, *lines: int, sig: Signature = ECHO_SIG) -> In
         else EMPTY_PAYLOAD
     )
     frames = tuple((f"a.py:{line}", "helloworld") for line in lines)
-    stack = CallStackDigest.from_frames(frames)
+    stack = CallStackDigest(frames)
     return InvocationSignature(signature=sig, payload=payload, callstack=stack)
 
 
@@ -81,7 +80,7 @@ class TestMakeInvocationSignature:
     def test_first_concurrent_rpc_components(self):
         # The first async RPC: payload (s, Hello), stack at line 7.
         payload = InvocationPayload.from_mapping(ECHO_SIG, {"s": "Hello"})
-        stack = CallStackDigest.from_frames((("a.py:7", "helloworld"),))
+        stack = CallStackDigest((("a.py:7", "helloworld"),))
         made = make_invocation_signature(ECHO_SIG, payload, stack)
         assert made.signature == ECHO_SIG
         assert made.payload.values == ("Hello",)
@@ -356,26 +355,3 @@ class TestEncodeDecode:
         text = encode(d)
         assert text.startswith("[sig:") and text.endswith("|2]")
         assert ",pay:" in text and ",stk:" in text
-
-
-class TestCallStackPolicy:
-    def test_runtime_frames_filtered(self):
-        frames = (
-            ("<runtime>/dispatch.py:0", "task_dispatch"),
-            ("a.py:7", "helloworld"),
-        )
-        digest = CallStackDigest.from_frames(frames)
-        assert digest.frames == (("a.py:7", "helloworld"),)
-        bare = CallStackDigest.from_frames((("a.py:7", "helloworld"),))
-        assert digest == bare
-
-    def test_configurable_deny_list(self):
-        policy = CallStackPolicy(deny_patterns=(r"vendored",))
-        frames = (("vendored/lib.py:3", "go"), ("a.py:7", "f"))
-        digest = CallStackDigest.from_frames(frames, policy)
-        assert digest.frames == (("a.py:7", "f"),)
-
-    def test_digest_pure_function_of_filtered_frames(self):
-        one = CallStackDigest.from_frames((("a.py:7", "f"), ("<runtime>/x.py:0", "d")))
-        two = CallStackDigest.from_frames((("a.py:7", "f"),))
-        assert one.digest == two.digest

@@ -72,7 +72,7 @@ def invocation_signatures(draw) -> InvocationSignature:
     return InvocationSignature(
         signature=sig,
         payload=draw(payloads(sig)),
-        callstack=CallStackDigest.from_frames(draw(frames)),
+        callstack=CallStackDigest(tuple(draw(frames))),
     )
 
 
@@ -217,7 +217,7 @@ class TestEncodeDecodeLaws:
         if first == second:
             return
         name = sig.parameters[0][0]
-        digest = CallStackDigest.from_frames(stack)
+        digest = CallStackDigest(tuple(stack))
 
         def build(value):
             args = {n: value for n, _ in sig.parameters}

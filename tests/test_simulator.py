@@ -405,6 +405,14 @@ class TestPathAccumulation:
             ("29", 1, "World", False),
         )
 
+    def test_spawned_block_starts_on_an_empty_stack(self):
+        # An RPC in a spawned block has only its own site's frame (line 6):
+        # no frame of the spawn (line 5) or of a dispatcher comes before it.
+        trace = run_execution(build_hello_world_app(), hello_world_entry(3))
+        assert sorted(symbolic(trace, with_payload=True)) == [
+            ("6", 1, tag, False) for tag in ("t000", "t001", "t002")
+        ]
+
     def test_helper_frames_in_stack(self, corpus):
         entry = corpus["figure-2"]
         trace = run_execution(entry.app, entry.entry_request)
