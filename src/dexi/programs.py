@@ -269,7 +269,8 @@ def parse_expr(doc: Any) -> Expr:
     if op == "concat":
         return Concat(tuple(parse_expr(p) for p in arg))
     if op == "join":
-        return Join(items=parse_expr(arg["list"]), sep=arg.get("sep", " "))
+        return Join(items=parse_expr(arg["list"]),
+                    sep=_checked(arg.get("sep", " "), str, "'join' expression field 'sep'"))
     if op == "list":
         return ListExpr(tuple(parse_expr(p) for p in arg))
     if op == "first":
@@ -283,8 +284,25 @@ def parse_expr(doc: Any) -> Expr:
     raise ProgramError(f"unknown expression operator {op!r}")
 
 
-def _parse_args(doc: Mapping[str, Any]) -> tuple[tuple[str, Expr], ...]:
-    return tuple((name, parse_expr(value)) for name, value in doc.items())
+def _checked(value: Any, kind: type, field: str) -> Any:
+    """`value`, read from `field`, if it is of `kind`: `str` or `dict`."""
+    if not isinstance(value, kind):
+        expected = "a string" if kind is str else "a map"
+        raise ProgramError(f"{field} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _name(doc: Mapping[str, Any], op: str, key: str, optional: bool = False) -> str | None:
+    """The variable name a statement reads or binds in field `key`."""
+    value = doc.get(key) if optional else doc[key]
+    if value is None and optional:
+        return None
+    return _checked(value, str, f"{op!r} statement field {key!r}")
+
+
+def _parse_args(doc: Mapping[str, Any], op: str) -> tuple[tuple[str, Expr], ...]:
+    args = _checked(doc.get("args", {}), dict, f"{op!r} statement field 'args'")
+    return tuple((name, parse_expr(value)) for name, value in args.items())
 
 
 def _require_line(doc: Mapping[str, Any], op: str) -> int:
@@ -298,27 +316,27 @@ def parse_stmt(doc: Any) -> Stmt:
         raise ProgramError(f"statement must be an object with an 'op' key: {doc!r}")
     op = doc["op"]
     if op == "assign":
-        return Assign(var=doc["var"], value=parse_expr(doc["value"]))
+        return Assign(var=_name(doc, op, "var"), value=parse_expr(doc["value"]))
     if op == "append":
-        return Append(list_var=doc["list"], value=parse_expr(doc["value"]))
+        return Append(list_var=_name(doc, op, "list"), value=parse_expr(doc["value"]))
     if op == "rpc":
         return Rpc(
             service=doc["service"],
             method=doc["method"],
-            args=_parse_args(doc.get("args", {})),
+            args=_parse_args(doc, op),
             line=_require_line(doc, op),
-            assign=doc.get("assign"),
+            assign=_name(doc, op, "assign", optional=True),
         )
     if op == "call":
         return CallHelper(
             helper=doc["helper"],
-            args=_parse_args(doc.get("args", {})),
+            args=_parse_args(doc, op),
             line=_require_line(doc, op),
-            assign=doc.get("assign"),
+            assign=_name(doc, op, "assign", optional=True),
         )
     if op == "loop":
         return Loop(
-            var=doc["var"],
+            var=_name(doc, op, "var"),
             items=parse_expr(doc["in"]),
             body=parse_body(doc["body"]),
             line=int(doc.get("line", 0)),
@@ -339,32 +357,32 @@ def parse_stmt(doc: Any) -> Stmt:
         return Raise(message=doc.get("message", "service-error"))
     if op == "spawn":
         return Spawn(
-            futures=doc["futures"],
+            futures=_name(doc, op, "futures"),
             body=parse_body(doc["body"]),
             line=int(doc.get("line", 0)),
         )
     if op == "await_all":
         return AwaitAll(
-            futures=doc["futures"],
+            futures=_name(doc, op, "futures"),
             line=int(doc.get("line", 0)),
-            assign=doc.get("assign"),
+            assign=_name(doc, op, "assign", optional=True),
         )
     if op == "open_stream":
         return OpenStream(
             service=doc["service"],
             method=doc["method"],
             line=_require_line(doc, op),
-            assign=doc["assign"],
+            assign=_name(doc, op, "assign"),
         )
     if op == "stream_send":
         return StreamSend(
-            stream=doc["stream"],
-            args=_parse_args(doc.get("args", {})),
+            stream=_name(doc, op, "stream"),
+            args=_parse_args(doc, op),
             line=_require_line(doc, op),
-            assign=doc.get("assign"),
+            assign=_name(doc, op, "assign", optional=True),
         )
     if op == "close_stream":
-        return CloseStream(stream=doc["stream"])
+        return CloseStream(stream=_name(doc, op, "stream"))
     raise ProgramError(f"unknown statement operator {op!r}")
 
 
@@ -374,17 +392,24 @@ def parse_body(doc: Any) -> tuple[Stmt, ...]:
     return tuple(parse_stmt(s) for s in doc)
 
 
+def _list_of_maps(doc: Mapping[str, Any], key: str, where: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ProgramError(f"{where} field {key!r} must be a list of maps")
+    return items
+
+
 def parse_service(doc: Mapping[str, Any]) -> ServiceProgram:
     name = doc["name"]
     endpoints: dict[str, Endpoint] = {}
-    for ep in doc.get("endpoints", []):
+    for ep in _list_of_maps(doc, "endpoints", f"service {name!r}"):
         params = tuple((p["name"], p.get("type", "String")) for p in ep.get("params", []))
         endpoint = Endpoint(method=ep["method"], params=params, body=parse_body(ep["body"]))
         if endpoint.method in endpoints:
             raise ProgramError(f"service {name!r} declares endpoint {endpoint.method!r} twice")
         endpoints[endpoint.method] = endpoint
     helpers: dict[str, Helper] = {}
-    for hp in doc.get("helpers", []):
+    for hp in _list_of_maps(doc, "helpers", f"service {name!r}"):
         helper = Helper(
             name=hp["name"],
             params=tuple(hp.get("params", [])),

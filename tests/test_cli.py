@@ -404,6 +404,50 @@ class TestMalformedCorpus:
             f"error: corpus entry x.json is malformed: '{field}' must be {kind}"
         ]
 
+    # Paths into a document's first endpoint body, and to figure-4's RPC in
+    # its loop.
+    BODY = ("services", 0, "endpoints", 0, "body")
+    RPC = BODY + (1, "body", 0, "body", 0)
+
+    @pytest.mark.parametrize("document,path,value,message", [
+        ("figure-4", RPC + ("args",), None, "'rpc' statement field 'args' must be a map, not NoneType"),
+        ("figure-4", ("services", 0, "endpoints"), "x",
+         "service 'a' field 'endpoints' must be a list of maps"),
+        ("figure-4", ("services", 1, "helpers"), ["x"],
+         "service 'b' field 'helpers' must be a list of maps"),
+        ("figure-4", BODY + (3, "value", "join", "sep"), None,
+         "'join' expression field 'sep' must be a string, not NoneType"),
+        ("figure-4", BODY + (0, "var"), ["x"], "'assign' statement field 'var' must be a string, not list"),
+        ("figure-4", BODY + (1, "var"), ["x"], "'loop' statement field 'var' must be a string, not list"),
+        ("figure-4", BODY + (1, "body", 0, "futures"), ["x"],
+         "'spawn' statement field 'futures' must be a string, not list"),
+        ("figure-4", RPC + ("assign",), ["x"], "'rpc' statement field 'assign' must be a string, not list"),
+        ("figure-4", BODY + (2, "futures"), ["x"],
+         "'await_all' statement field 'futures' must be a string, not list"),
+        ("figure-4", BODY + (2, "assign"), ["x"],
+         "'await_all' statement field 'assign' must be a string, not list"),
+        ("figure-3", BODY + (2, "body", 0, "body", 1, "list"), ["x"],
+         "'append' statement field 'list' must be a string, not list"),
+        ("figure-6-stream", BODY + (0, "assign"), ["x"],
+         "'open_stream' statement field 'assign' must be a string, not list"),
+        ("figure-6-stream", BODY + (2, "body", 0, "body", 0, "stream"), ["x"],
+         "'stream_send' statement field 'stream' must be a string, not list"),
+    ], ids=["rpc-args-null", "endpoints-str", "helpers-of-str", "join-sep-null", "assign-var-list",
+            "loop-var-list", "spawn-futures-list", "rpc-assign-list", "await-futures-list",
+            "await-assign-list", "append-list-list", "open-stream-assign-list",
+            "stream-send-stream-list"])
+    def test_parser_names_the_wrong_field(self, tmp_path, capsys, document, path, value, message):
+        doc = json.loads((default_corpus_dir() / f"{document}.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        (tmp_path / "x.json").write_text(json.dumps(doc))
+        assert run_cli(["explore", "--corpus", tmp_path, "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: corpus entry x.json is malformed: {message}"
+        ]
+
 
 class TestAwaitCycleAcrossWorkers:
     def test_cycle_is_an_error_under_threads(self):
