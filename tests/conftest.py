@@ -9,10 +9,32 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dexi.corpus import load_corpus
 
-# The property suite runs once per `pytest` run: in acceptance criterion 8's
-# standalone subprocess, at its full example counts. pytest ignores this only
-# for files it discovers, so `pytest tests/test_properties.py` still runs it.
-collect_ignore = ["test_properties.py"]
+PROPERTY_MODULE = "test_properties.py"
+CRITERION_8 = "test_criterion_8_property_suites_standalone"
+
+# Outcome of each property test run in this session, keyed by its id within
+# the module ("TestPrefixLaws::test_reflexive"): "passed" only if every phase
+# passed, otherwise the first phase outcome that was not a pass.
+_property_outcomes: dict[str, str] = {}
+
+
+def pytest_collection_modifyitems(items):
+    # Criterion 8 checks the outcomes of the property tests run in this
+    # session instead of running the suite a second time, so it runs last.
+    items.sort(key=lambda item: item.name == CRITERION_8)
+
+
+def pytest_runtest_logreport(report):
+    path, _, test_id = report.nodeid.partition("::")
+    if not path.endswith(PROPERTY_MODULE):
+        return
+    if (report.when == "call" or not report.passed) and _property_outcomes.get(test_id, "passed") == "passed":
+        _property_outcomes[test_id] = report.outcome
+
+
+@pytest.fixture
+def property_outcomes():
+    return _property_outcomes
 
 
 @pytest.fixture(scope="session")
