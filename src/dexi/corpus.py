@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .indexing import CONFIG_LABELS, DexiError
-from .programs import Application, EntryRequest, parse_application
+from .programs import Application, EntryRequest, parse_application, read_field
 
 
 class CorpusError(DexiError):
@@ -36,41 +36,30 @@ def default_corpus_dir() -> Path:
 
 def load_entry(path: Path) -> CorpusEntry:
     """Load one corpus document. Any fault in it is a `CorpusError` naming
-    the file."""
+    the file and, for a fault in a field, the field's JSON path."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"cannot read corpus document {path.name}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CorpusError(f"{path.name}: cannot read corpus document: {exc}") from None
     try:
-        name = doc["name"]
-        if not isinstance(name, str):
-            raise TypeError(f"'name' must be a string, not {type(name).__name__}")
+        if type(doc) is not dict:
+            raise CorpusError("document is not a JSON object")
+        name = read_field(doc, "name", str)
         app = parse_application(doc)
-        entry_doc = doc["entry"]
-        entry = EntryRequest(
-            service=entry_doc["service"],
-            method=entry_doc["method"],
-            args=dict(entry_doc.get("args", {})),
-        )
+        entry_doc = read_field(doc, "entry", dict)
+        entry = EntryRequest(read_field(entry_doc, "service", str, "entry"),
+                             read_field(entry_doc, "method", str, "entry"),
+                             read_field(entry_doc, "args", dict, "entry", {}))
         app.validate_entry(entry)
-        counts = doc.get("expected_counts", {})
-        if not isinstance(counts, dict):
-            raise TypeError(f"'expected_counts' must be a map, not {type(counts).__name__}")
-        expected = {str(k): int(v) for k, v in counts.items()}
+        counts = read_field(doc, "expected_counts", dict, "", {})
+        expected = {label: read_field(counts, label, int, "expected_counts") for label in counts}
         for label in expected:
             if label not in CONFIG_LABELS:
-                raise CorpusError(f"unknown config label {label!r} in expected_counts")
-    except CorpusError:
-        raise
-    except (KeyError, TypeError, ValueError, DexiError) as exc:
-        raise CorpusError(f"corpus entry {path.name} is malformed: {exc}") from exc
-    return CorpusEntry(
-        name=name,
-        app=app,
-        entry_request=entry,
-        expected_counts=expected,
-        description=doc.get("description", ""),
-    )
+                raise CorpusError(f"expected_counts.{label}: unknown config label")
+        description = read_field(doc, "description", str, "", "")
+    except DexiError as exc:
+        raise CorpusError(f"{path.name}: {exc}") from None
+    return CorpusEntry(name, app, entry, expected, description)
 
 
 def load_corpus(path: Path | str | None = None) -> list[CorpusEntry]:
@@ -85,10 +74,3 @@ def load_corpus(path: Path | str | None = None) -> list[CorpusEntry]:
             raise CorpusError(f"duplicate corpus entry name {entry.name!r}")
         entries[entry.name] = entry
     return sorted(entries.values(), key=lambda e: e.name)
-
-
-def corpus_entry(name: str, path: Path | str | None = None) -> CorpusEntry:
-    for entry in load_corpus(path):
-        if entry.name == name:
-            return entry
-    raise CorpusError(f"no corpus entry named {name!r}")

@@ -243,196 +243,213 @@ class Application:
         return Signature(service, method, self.endpoint(service, method).params)
 
     def validate_entry(self, entry: EntryRequest) -> None:
-        endpoint = self.endpoint(entry.service, entry.method)
+        """Check `entry` against the endpoint it names. An error names the
+        field at fault by its path in a corpus document (`entry.method`)."""
+        svc = self.services.get(entry.service)
+        if svc is None:
+            raise ProgramError(f"entry.service: unknown service {entry.service!r}")
+        endpoint = svc.endpoints.get(entry.method)
+        if endpoint is None:
+            raise ProgramError(f"entry.method: unknown endpoint {entry.service}.{entry.method}")
         declared = [name for name, _ in endpoint.params]
         if set(entry.args) != set(declared):
-            raise ProgramError(
-                f"entry args {sorted(entry.args)} do not match parameters {declared} "
-                f"of {entry.service}.{entry.method}"
-            )
+            raise ProgramError(f"entry.args: expected the parameters {declared} of "
+                               f"{entry.service}.{entry.method}, got {sorted(entry.args)}")
+
+
+# ---------------------------------------------------------------------------
+# Reading JSON documents
+
+
+class DocumentError(DexiError):
+    """A field of a JSON document dexi reads is missing or of the wrong kind."""
+
+
+_REQUIRED = object()
+
+# The JSON kind of each type `json.loads` builds, as error messages name it.
+_KIND_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "a map"}
+
+
+def _at(path: str, key: str | int) -> str:
+    """The JSON path of `key` in the map or list at `path`."""
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def read_field(doc: Any, key: str | int, kind: type, path: str = "",
+               default: Any = _REQUIRED) -> Any:
+    """`doc[key]`, checked to be of JSON `kind`: `str`, `int`, `bool`, `list`
+    or `dict`. A bool is not an integer. `doc` is a map, or a list with `key`
+    a position, at JSON path `path`. An absent key gives `default`, or is an
+    error without one.
+
+    Every corpus and trace field is read here, so every error has one form:
+    `DocumentError("PATH: expected KIND, got KIND")` or `"PATH: missing"`.
+    """
+    value = doc[key] if type(key) is int else doc.get(key, _REQUIRED)
+    if type(value) is kind:
+        return value
+    if value is not _REQUIRED:
+        got = _KIND_NAMES.get(type(value), type(value).__name__)
+        raise DocumentError(f"{_at(path, key)}: expected {_KIND_NAMES[kind]}, got {got}")
+    if default is _REQUIRED:
+        raise DocumentError(f"{_at(path, key)}: missing")
+    return default
+
+
+def _maps(doc: Mapping[str, Any], key: str, path: str,
+          default: Any = _REQUIRED) -> list[tuple[str, dict]]:
+    """(JSON path, map) for each item of the list of maps at `doc[key]`."""
+    items = read_field(doc, key, list, path, default)
+    where = _at(path, key)
+    return [(_at(where, i), read_field(items, i, dict, where)) for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------
 # Parsing from JSON documents
 
 
-def parse_expr(doc: Any) -> Expr:
-    if not isinstance(doc, dict):
-        raise ProgramError(f"expression must be an object, got {doc!r}")
-    if len(doc) != 1:
-        raise ProgramError(f"expression must have exactly one key: {doc!r}")
-    (op, arg), = doc.items()
+def _expr(doc: Any, key: str | int, path: str) -> Expr:
+    """The expression at `doc[key]`; `doc` sits at JSON path `path`."""
+    expr = read_field(doc, key, dict, path)
+    path = _at(path, key)
+    if len(expr) != 1:
+        raise DocumentError(f"{path}: an expression has exactly one key, got {len(expr)}")
+    (op, arg), = expr.items()
     if op == "const":
         return Const(arg)
-    if op == "var":
-        return Var(str(arg))
-    if op == "concat":
-        return Concat(tuple(parse_expr(p) for p in arg))
+    if op in ("var", "is_set"):
+        name = read_field(expr, op, str, path)
+        return Var(name) if op == "var" else IsSet(name)
+    if op in ("concat", "list", "eq"):
+        items, where = read_field(expr, op, list, path), _at(path, op)
+        parts = tuple(_expr(items, i, where) for i in range(len(items)))
+        if op == "eq":
+            if len(parts) != 2:
+                raise DocumentError(f"{where}: expected 2 operands, got {len(parts)}")
+            return Eq(*parts)
+        return Concat(parts) if op == "concat" else ListExpr(parts)
     if op == "join":
-        return Join(items=parse_expr(arg["list"]),
-                    sep=_checked(arg.get("sep", " "), str, "'join' expression field 'sep'"))
-    if op == "list":
-        return ListExpr(tuple(parse_expr(p) for p in arg))
+        join, where = read_field(expr, op, dict, path), _at(path, op)
+        return Join(_expr(join, "list", where), read_field(join, "sep", str, where, " "))
     if op == "first":
-        return First(parse_expr(arg))
-    if op == "is_set":
-        return IsSet(str(arg))
+        return First(_expr(expr, op, path))
     if op == "not":
-        return Not(parse_expr(arg))
-    if op == "eq":
-        return Eq(parse_expr(arg[0]), parse_expr(arg[1]))
-    raise ProgramError(f"unknown expression operator {op!r}")
+        return Not(_expr(expr, op, path))
+    raise DocumentError(f"{path}: unknown expression operator {op!r}")
 
 
-def _checked(value: Any, kind: type, field: str) -> Any:
-    """`value`, read from `field`, if it is of `kind`: `str` or `dict`."""
-    if not isinstance(value, kind):
-        expected = "a string" if kind is str else "a map"
-        raise ProgramError(f"{field} must be {expected}, not {type(value).__name__}")
-    return value
+def _args(doc: Mapping[str, Any], path: str) -> tuple[tuple[str, Expr], ...]:
+    args = read_field(doc, "args", dict, path, {})
+    where = _at(path, "args")
+    return tuple((name, _expr(args, name, where)) for name in args)
 
 
-def _name(doc: Mapping[str, Any], op: str, key: str, optional: bool = False) -> str | None:
-    """The variable name a statement reads or binds in field `key`."""
-    value = doc.get(key) if optional else doc[key]
-    if value is None and optional:
-        return None
-    return _checked(value, str, f"{op!r} statement field {key!r}")
+def _body(doc: Mapping[str, Any], key: str, path: str, calls: list,
+          default: Any = _REQUIRED) -> tuple[Stmt, ...]:
+    """The statement list at `doc[key]`. Each `rpc`, `call` and
+    `open_stream` in it is appended to `calls` with its JSON path."""
+    return tuple(_stmt(stmt, where, calls) for where, stmt in _maps(doc, key, path, default))
 
 
-def _parse_args(doc: Mapping[str, Any], op: str) -> tuple[tuple[str, Expr], ...]:
-    args = _checked(doc.get("args", {}), dict, f"{op!r} statement field 'args'")
-    return tuple((name, parse_expr(value)) for name, value in args.items())
+def _stmt(doc: Mapping[str, Any], path: str, calls: list) -> Stmt:
+    op = read_field(doc, "op", str, path)
 
+    def name(key: str, default: Any = _REQUIRED) -> str:
+        return read_field(doc, key, str, path, default)
 
-def _require_line(doc: Mapping[str, Any], op: str) -> int:
-    if "line" not in doc:
-        raise ProgramError(f"{op!r} statement requires a source line")
-    return int(doc["line"])
+    def line(default: Any = _REQUIRED) -> int:
+        return read_field(doc, "line", int, path, default)
 
-
-def parse_stmt(doc: Any) -> Stmt:
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise ProgramError(f"statement must be an object with an 'op' key: {doc!r}")
-    op = doc["op"]
     if op == "assign":
-        return Assign(var=_name(doc, op, "var"), value=parse_expr(doc["value"]))
+        return Assign(name("var"), _expr(doc, "value", path))
     if op == "append":
-        return Append(list_var=_name(doc, op, "list"), value=parse_expr(doc["value"]))
-    if op == "rpc":
-        return Rpc(
-            service=doc["service"],
-            method=doc["method"],
-            args=_parse_args(doc, op),
-            line=_require_line(doc, op),
-            assign=_name(doc, op, "assign", optional=True),
-        )
-    if op == "call":
-        return CallHelper(
-            helper=doc["helper"],
-            args=_parse_args(doc, op),
-            line=_require_line(doc, op),
-            assign=_name(doc, op, "assign", optional=True),
-        )
+        return Append(name("list"), _expr(doc, "value", path))
+    if op in ("rpc", "call", "open_stream"):
+        if op == "rpc":
+            stmt = Rpc(name("service"), name("method"), _args(doc, path), line(),
+                       name("assign", None))
+        elif op == "call":
+            stmt = CallHelper(name("helper"), _args(doc, path), line(), name("assign", None))
+        else:
+            stmt = OpenStream(name("service"), name("method"), line(), name("assign"))
+        calls.append((path, stmt))
+        return stmt
     if op == "loop":
-        return Loop(
-            var=_name(doc, op, "var"),
-            items=parse_expr(doc["in"]),
-            body=parse_body(doc["body"]),
-            line=int(doc.get("line", 0)),
-        )
+        return Loop(name("var"), _expr(doc, "in", path), _body(doc, "body", path, calls), line(0))
     if op == "if":
-        return If(
-            cond=parse_expr(doc["cond"]),
-            then=parse_body(doc.get("then", [])),
-            orelse=parse_body(doc.get("else", [])),
-        )
+        return If(_expr(doc, "cond", path), _body(doc, "then", path, calls, []),
+                  _body(doc, "else", path, calls, []))
     if op == "try":
-        return Try(body=parse_body(doc["body"]), catch=parse_body(doc.get("catch", [])))
+        return Try(_body(doc, "body", path, calls), _body(doc, "catch", path, calls, []))
     if op == "break":
         return Break()
     if op == "return":
-        return Return(value=parse_expr(doc["value"]))
+        return Return(_expr(doc, "value", path))
     if op == "raise":
-        return Raise(message=doc.get("message", "service-error"))
+        return Raise(name("message", "service-error"))
     if op == "spawn":
-        return Spawn(
-            futures=_name(doc, op, "futures"),
-            body=parse_body(doc["body"]),
-            line=int(doc.get("line", 0)),
-        )
+        return Spawn(name("futures"), _body(doc, "body", path, calls), line(0))
     if op == "await_all":
-        return AwaitAll(
-            futures=_name(doc, op, "futures"),
-            line=int(doc.get("line", 0)),
-            assign=_name(doc, op, "assign", optional=True),
-        )
-    if op == "open_stream":
-        return OpenStream(
-            service=doc["service"],
-            method=doc["method"],
-            line=_require_line(doc, op),
-            assign=_name(doc, op, "assign"),
-        )
+        return AwaitAll(name("futures"), line(0), name("assign", None))
     if op == "stream_send":
-        return StreamSend(
-            stream=_name(doc, op, "stream"),
-            args=_parse_args(doc, op),
-            line=_require_line(doc, op),
-            assign=_name(doc, op, "assign", optional=True),
-        )
+        return StreamSend(name("stream"), _args(doc, path), line(), name("assign", None))
     if op == "close_stream":
-        return CloseStream(stream=_name(doc, op, "stream"))
-    raise ProgramError(f"unknown statement operator {op!r}")
+        return CloseStream(name("stream"))
+    raise DocumentError(f"{_at(path, 'op')}: unknown statement operator {op!r}")
 
 
-def parse_body(doc: Any) -> tuple[Stmt, ...]:
-    if not isinstance(doc, list):
-        raise ProgramError(f"statement body must be a list: {doc!r}")
-    return tuple(parse_stmt(s) for s in doc)
-
-
-def _list_of_maps(doc: Mapping[str, Any], key: str, where: str) -> list:
-    items = doc.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-        raise ProgramError(f"{where} field {key!r} must be a list of maps")
-    return items
-
-
-def parse_service(doc: Mapping[str, Any]) -> ServiceProgram:
-    name = doc["name"]
+def _service(doc: Mapping[str, Any], path: str, calls: list) -> ServiceProgram:
+    name = read_field(doc, "name", str, path)
     endpoints: dict[str, Endpoint] = {}
-    for ep in _list_of_maps(doc, "endpoints", f"service {name!r}"):
-        params = tuple((p["name"], p.get("type", "String")) for p in ep.get("params", []))
-        endpoint = Endpoint(method=ep["method"], params=params, body=parse_body(ep["body"]))
-        if endpoint.method in endpoints:
-            raise ProgramError(f"service {name!r} declares endpoint {endpoint.method!r} twice")
-        endpoints[endpoint.method] = endpoint
+    for where, ep in _maps(doc, "endpoints", path, []):
+        method = read_field(ep, "method", str, where)
+        if method in endpoints:
+            raise ProgramError(f"{where}.method: endpoint {method!r} declared twice")
+        params = tuple((read_field(p, "name", str, at), read_field(p, "type", str, at, "String"))
+                       for at, p in _maps(ep, "params", where, []))
+        endpoints[method] = Endpoint(method, params, _body(ep, "body", where, calls))
     helpers: dict[str, Helper] = {}
-    for hp in _list_of_maps(doc, "helpers", f"service {name!r}"):
-        helper = Helper(
-            name=hp["name"],
-            params=tuple(hp.get("params", [])),
-            body=parse_body(hp["body"]),
-        )
-        if helper.name in helpers:
-            raise ProgramError(f"service {name!r} declares helper {helper.name!r} twice")
-        helpers[helper.name] = helper
+    for where, hp in _maps(doc, "helpers", path, []):
+        helper = read_field(hp, "name", str, where)
+        if helper in helpers:
+            raise ProgramError(f"{where}.name: helper {helper!r} declared twice")
+        params, at = read_field(hp, "params", list, where, []), _at(where, "params")
+        params = tuple(read_field(params, i, str, at) for i in range(len(params)))
+        helpers[helper] = Helper(helper, params, _body(hp, "body", where, calls))
     return ServiceProgram(name=name, endpoints=endpoints, helpers=helpers)
 
 
 def parse_application(doc: Mapping[str, Any]) -> Application:
-    services: dict[str, ServiceProgram] = {}
-    for svc_doc in doc.get("services", []):
-        svc = parse_service(svc_doc)
-        if svc.name in services:
-            raise ProgramError(f"application declares service {svc.name!r} twice")
-        services[svc.name] = svc
+    """The application a corpus document's `services` declare. A fault in
+    the document raises a `DexiError` whose message starts with the JSON path
+    of the offending field."""
+    try:
+        calls: list[tuple[ServiceProgram, str, Stmt]] = []
+        services: dict[str, ServiceProgram] = {}
+        for path, svc_doc in _maps(doc, "services", ""):
+            svc_calls: list[tuple[str, Stmt]] = []
+            svc = _service(svc_doc, path, svc_calls)
+            if svc.name in services:
+                raise ProgramError(f"{path}.name: service {svc.name!r} declared twice")
+            services[svc.name] = svc
+            calls += [(svc, where, stmt) for where, stmt in svc_calls]
+    except RecursionError:
+        raise ProgramError("services: statements nest deeper than the parser can read") from None
     if not services:
-        raise ProgramError("application declares no services")
-    app = Application(services=services)
-    _validate_targets(app)
-    return app
+        raise ProgramError("services: no service declared")
+    for svc, path, stmt in calls:
+        if isinstance(stmt, CallHelper):
+            if stmt.helper not in svc.helpers:
+                raise ProgramError(f"{path}.helper: unknown helper {svc.name}.{stmt.helper}")
+        elif stmt.service not in services:
+            raise ProgramError(f"{path}.service: unknown service {stmt.service!r}")
+        elif stmt.method not in services[stmt.service].endpoints:
+            raise ProgramError(f"{path}.method: unknown endpoint {stmt.service}.{stmt.method}")
+    return Application(services=services)
 
 
 def _walk(body: tuple[Stmt, ...]):
@@ -454,18 +471,3 @@ def iter_statements(app: Application):
             for stmt in _walk(helper.body):
                 yield svc, helper.name, stmt
 
-
-def _validate_targets(app: Application) -> None:
-    for svc, symbol, stmt in iter_statements(app):
-        if isinstance(stmt, (Rpc, OpenStream)):
-            if stmt.service not in app.services:
-                raise ProgramError(
-                    f"{svc.name}.{symbol} targets unknown service {stmt.service!r}"
-                )
-            if stmt.method not in app.services[stmt.service].endpoints:
-                raise ProgramError(
-                    f"{svc.name}.{symbol} targets unknown endpoint "
-                    f"{stmt.service}.{stmt.method}"
-                )
-        if isinstance(stmt, CallHelper) and stmt.helper not in svc.helpers:
-            raise ProgramError(f"{svc.name}.{symbol} calls unknown helper {stmt.helper!r}")

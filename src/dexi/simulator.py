@@ -53,6 +53,7 @@ from .programs import (
     CloseStream,
     Concat,
     Const,
+    DocumentError,
     EntryRequest,
     Eq,
     Expr,
@@ -75,6 +76,7 @@ from .programs import (
     Try,
     Var,
     iter_statements,
+    read_field,
 )
 
 DEFAULT_STEP_BUDGET = 200_000
@@ -221,36 +223,34 @@ class RpcEvent(NamedTuple):
     ) -> RpcEvent:
         """Rebuild an event from its `to_json` record. `decoded` maps wire
         text to the index it was decoded to, and gains new ones."""
+        payload = read_field(doc, "payload", dict, "", None)
+        task = read_field(doc, "task", list, "", [])
         return cls(
-            kind=doc["kind"],
-            sequence_number=doc["seq"],
-            caller=_text(doc, "caller", ""),
-            callee=_text(doc, "callee", ""),
-            method=_text(doc, "method", ""),
-            dei=_decode(doc["dei"], decoded) if "dei" in doc else None,
-            preliminary_dei=(
-                _decode(doc["preliminary_dei"], decoded) if "preliminary_dei" in doc else None
-            ),
-            payload=tuple(doc["payload"].items()) if "payload" in doc else None,
-            outcome=doc.get("outcome"),
-            lineage=tuple(doc.get("task", [])),
+            kind=read_field(doc, "kind", str),
+            sequence_number=read_field(doc, "seq", int),
+            caller=read_field(doc, "caller", str, "", ""),
+            callee=read_field(doc, "callee", str, "", ""),
+            method=read_field(doc, "method", str, "", ""),
+            dei=_decode(doc, "dei", decoded),
+            preliminary_dei=_decode(doc, "preliminary_dei", decoded),
+            payload=None if payload is None else tuple(payload.items()),
+            outcome=read_field(doc, "outcome", dict, "", None),
+            lineage=tuple(read_field(task, i, int, "task") for i in range(len(task))),
         )
 
 
-def _text(doc: Mapping[str, Any], name: str, default: str | None = None) -> str:
-    """The string field `name` of a trace record, or `default` when absent."""
-    value = doc[name] if default is None else doc.get(name, default)
-    if not isinstance(value, str):
-        raise DexiError(f"field {name!r} must be a string, not {type(value).__name__}")
-    return value
-
-
-def _decode(text: str, decoded: dict[str, DistributedExecutionIndex]) -> DistributedExecutionIndex:
-    if not isinstance(text, str):
-        return indexing.decode(text)  # raises DecodeError
+def _decode(doc: Mapping[str, Any], key: str,
+            decoded: dict[str, DistributedExecutionIndex]) -> DistributedExecutionIndex | None:
+    """The index a trace record holds under `key`, or None when it has none."""
+    text = read_field(doc, key, str, "", None)
+    if text is None:
+        return None
     dei = decoded.get(text)
     if dei is None:
-        dei = decoded[text] = indexing.decode(text)
+        try:
+            dei = decoded[text] = indexing.decode(text)
+        except indexing.DecodeError as exc:
+            raise DocumentError(f"{key}: {exc}") from None
     return dei
 
 
@@ -378,29 +378,42 @@ class ExecutionTrace:
                 continue
             try:
                 doc = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise DexiError(f"line {number}: {exc}") from None
+            try:
                 if not isinstance(doc, dict):
                     raise DexiError("record is not a JSON object")
                 if doc.get("kind") != "trace_header":
                     event = records[line] = RpcEvent.from_json(doc, decoded)
                     events.append(event)
                     continue
-                entry = doc["entry"]
-                header = {
-                    "entry_request": EntryRequest(_text(entry, "service"), _text(entry, "method"),
-                                                  entry["args"]),
-                    "entry_outcome": doc.get("entry_outcome", {}),
-                    "seed": doc.get("seed", 0),
-                    "scheduler_mode": doc.get("scheduler", "virtual"),
-                    "config": InstantiationConfig(**doc.get("config", {})),
-                    "warnings": tuple(doc.get("warnings", [])),
-                }
-            except KeyError as exc:
-                raise DexiError(f"line {number}: missing field {exc}") from None
-            except (AttributeError, TypeError, ValueError, RecursionError, DexiError) as exc:
+                header = _header(doc)
+            except DexiError as exc:
                 raise DexiError(f"line {number}: {exc}") from None
         if header is None:
             raise DexiError("trace has no header record")
         return cls(events=tuple(events), **header)
+
+
+def _header(doc: Mapping[str, Any]) -> dict[str, Any]:
+    """The `ExecutionTrace` fields a trace file's header record holds."""
+    entry = read_field(doc, "entry", dict)
+    config = read_field(doc, "config", dict, "", {})
+    unknown = config.keys() - vars(FULL_CONFIG).keys()
+    if unknown:
+        raise DocumentError(f"config.{min(unknown)}: not an instantiation field")
+    warnings = read_field(doc, "warnings", list, "", [])
+    return {
+        "entry_request": EntryRequest(read_field(entry, "service", str, "entry"),
+                                      read_field(entry, "method", str, "entry"),
+                                      read_field(entry, "args", dict, "entry")),
+        "entry_outcome": read_field(doc, "entry_outcome", dict, "", {}),
+        "seed": read_field(doc, "seed", int, "", 0),
+        "scheduler_mode": read_field(doc, "scheduler", str, "", "virtual"),
+        "config": InstantiationConfig(
+            **{key: read_field(config, key, bool, "config") for key in config}),
+        "warnings": tuple(read_field(warnings, i, str, "warnings") for i in range(len(warnings))),
+    }
 
 
 # ---------------------------------------------------------------------------

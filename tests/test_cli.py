@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -197,33 +198,40 @@ class TestGraph:
         bad = [tmp_path / "bad-1.jsonl", tmp_path / "bad-2.jsonl"]
         for path in bad:
             path.write_text(text + '{"kind": "invocation", "caller": "a"}\n')
-            with pytest.raises(DexiError, match=f"^line {number}: missing field 'seq'"):
+            with pytest.raises(DexiError, match=f"^line {number}: seq: missing$"):
                 ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records)
         capsys.readouterr()
         assert run_cli(["graph", *files, *bad]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {bad[0]}: line {number}: missing field 'seq'"
+            f"error: {bad[0]}: line {number}: seq: missing"
         ]
 
+    HEADER = '{"kind": "trace_header", "entry": {"service": "a", "method": "m", "args": {}}'
+
     @pytest.mark.parametrize(
-        "text",
+        "text,error",
         [
-            "not json\n",
-            '{"kind": "trace_header", "seed": 0}\n',
-            '[1, 2]\n',
-            '{"kind": "trace_header", "entry": {"service": "a", "method": "m", "args": {}}}\n'
-            '{"kind": "invocation", "caller": "a", "callee": "b", "method": "m"}\n',
-            "[" * 100_000 + "]" * 100_000 + "\n",
+            ("not json\n", "line 1: "),
+            ('{"kind": "trace_header", "seed": 0}\n', "line 1: entry: missing"),
+            ('[1, 2]\n', "line 1: record is not a JSON object"),
+            (HEADER + '}\n{"kind": "invocation", "caller": "a", "callee": "b", "method": "m"}\n',
+             "line 2: seq: missing"),
+            ("[" * 100_000 + "]" * 100_000 + "\n", "line 1: "),
+            (HEADER + ', "config": {"include_payload": "no"}}\n',
+             "line 1: config.include_payload: expected a bool, got a string"),
+            (HEADER + ', "warnings": "ab"}\n', "line 1: warnings: expected a list, got a string"),
+            (HEADER + ', "seed": "x"}\n', "line 1: seed: expected an integer, got a string"),
         ],
-        ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep"],
+        ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep",
+             "config-value-str", "warnings-str", "seed-str"],
     )
-    def test_undecodable_trace_rejected(self, tmp_path, capsys, text):
+    def test_undecodable_trace_rejected(self, tmp_path, capsys, text, error):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(text)
         assert run_cli(["graph", bad]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {bad}: line ")
+        assert err[0].startswith(f"error: {bad}: {error}")
 
     @pytest.mark.parametrize("value", [["b"], None], ids=["list", "null"])
     @pytest.mark.parametrize("field", ["entry.service", "entry.method", "caller", "callee",
@@ -236,18 +244,17 @@ class TestGraph:
         # The header is line 1; the first event with the field is changed.
         if field.startswith("entry."):
             number, record = 1, records[0]["entry"]
-            field = field.removeprefix("entry.")
         else:
             number = next(n for n, r in enumerate(records[1:], 2) if field in r)
             record = records[number - 1]
-        record[field] = value
+        record[field.removeprefix("entry.")] = value
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
         capsys.readouterr()
         assert run_cli(["graph", trace]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: {trace}: line {number}: field '{field}' must be a "
-                                 "string")
+        kind = "a list" if value else "null"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {trace}: line {number}: {field}: expected a string, got {kind}"
+        ]
 
 
 class TestUnwritablePaths:
@@ -391,51 +398,57 @@ class TestAwaitCycle:
 
 class TestMalformedCorpus:
     @pytest.mark.parametrize("field,value,kind", [
-        ("expected_counts", None, "a map, not NoneType"),
-        ("name", None, "a string, not NoneType"),
-        ("name", ["x"], "a string, not list"),
+        ("expected_counts", None, "a map, got null"),
+        ("name", None, "a string, got null"),
+        ("name", ["x"], "a string, got a list"),
     ], ids=["counts-null", "name-null", "name-list"])
     def test_wrong_field_type_is_one_error_line(self, tmp_path, capsys, field, value, kind):
         doc = json.loads((default_corpus_dir() / "figure-2.json").read_text())
         doc[field] = value
         (tmp_path / "x.json").write_text(json.dumps(doc))
         assert run_cli(["explore", "--corpus", tmp_path, "--out", tmp_path / "r.json"]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: corpus entry x.json is malformed: '{field}' must be {kind}"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: x.json: {field}: expected {kind}"]
 
     # Paths into a document's first endpoint body, and to figure-4's RPC in
-    # its loop.
+    # its loop, as tuples of keys and as the JSON paths errors name.
     BODY = ("services", 0, "endpoints", 0, "body")
     RPC = BODY + (1, "body", 0, "body", 0)
+    B = "services[0].endpoints[0].body"
+    R = B + "[1].body[0].body[0]"
 
     @pytest.mark.parametrize("document,path,value,message", [
-        ("figure-4", RPC + ("args",), None, "'rpc' statement field 'args' must be a map, not NoneType"),
+        ("figure-4", RPC + ("args",), None, f"{R}.args: expected a map, got null"),
         ("figure-4", ("services", 0, "endpoints"), "x",
-         "service 'a' field 'endpoints' must be a list of maps"),
+         "services[0].endpoints: expected a list, got a string"),
         ("figure-4", ("services", 1, "helpers"), ["x"],
-         "service 'b' field 'helpers' must be a list of maps"),
+         "services[1].helpers[0]: expected a map, got a string"),
         ("figure-4", BODY + (3, "value", "join", "sep"), None,
-         "'join' expression field 'sep' must be a string, not NoneType"),
-        ("figure-4", BODY + (0, "var"), ["x"], "'assign' statement field 'var' must be a string, not list"),
-        ("figure-4", BODY + (1, "var"), ["x"], "'loop' statement field 'var' must be a string, not list"),
+         f"{B}[3].value.join.sep: expected a string, got null"),
+        ("figure-4", BODY + (0, "var"), ["x"], f"{B}[0].var: expected a string, got a list"),
+        ("figure-4", BODY + (1, "var"), ["x"], f"{B}[1].var: expected a string, got a list"),
         ("figure-4", BODY + (1, "body", 0, "futures"), ["x"],
-         "'spawn' statement field 'futures' must be a string, not list"),
-        ("figure-4", RPC + ("assign",), ["x"], "'rpc' statement field 'assign' must be a string, not list"),
-        ("figure-4", BODY + (2, "futures"), ["x"],
-         "'await_all' statement field 'futures' must be a string, not list"),
-        ("figure-4", BODY + (2, "assign"), ["x"],
-         "'await_all' statement field 'assign' must be a string, not list"),
+         f"{B}[1].body[0].futures: expected a string, got a list"),
+        ("figure-4", RPC + ("assign",), ["x"], f"{R}.assign: expected a string, got a list"),
+        ("figure-4", BODY + (2, "futures"), ["x"], f"{B}[2].futures: expected a string, got a list"),
+        ("figure-4", BODY + (2, "assign"), ["x"], f"{B}[2].assign: expected a string, got a list"),
         ("figure-3", BODY + (2, "body", 0, "body", 1, "list"), ["x"],
-         "'append' statement field 'list' must be a string, not list"),
+         f"{B}[2].body[0].body[1].list: expected a string, got a list"),
         ("figure-6-stream", BODY + (0, "assign"), ["x"],
-         "'open_stream' statement field 'assign' must be a string, not list"),
+         f"{B}[0].assign: expected a string, got a list"),
         ("figure-6-stream", BODY + (2, "body", 0, "body", 0, "stream"), ["x"],
-         "'stream_send' statement field 'stream' must be a string, not list"),
+         f"{B}[2].body[0].body[0].stream: expected a string, got a list"),
+        ("figure-4", BODY + (1, "in", "var"), ["x"], f"{B}[1].in.var: expected a string, got a list"),
+        ("cinema-3", BODY + (1, "cond", "not", "is_set"), 3,
+         f"{B}[1].cond.not.is_set: expected a string, got an integer"),
+        ("figure-4", RPC + ("line",), True, f"{R}.line: expected an integer, got a bool"),
+        ("figure-4", RPC + ("line",), 2.5, f"{R}.line: expected an integer, got a number"),
+        ("figure-4", ("expected_counts", "full"), "4",
+         "expected_counts.full: expected an integer, got a string"),
     ], ids=["rpc-args-null", "endpoints-str", "helpers-of-str", "join-sep-null", "assign-var-list",
             "loop-var-list", "spawn-futures-list", "rpc-assign-list", "await-futures-list",
             "await-assign-list", "append-list-list", "open-stream-assign-list",
-            "stream-send-stream-list"])
+            "stream-send-stream-list", "var-expr-list", "is-set-int", "line-bool", "line-float",
+            "count-str"])
     def test_parser_names_the_wrong_field(self, tmp_path, capsys, document, path, value, message):
         doc = json.loads((default_corpus_dir() / f"{document}.json").read_text())
         parent = doc
@@ -444,9 +457,19 @@ class TestMalformedCorpus:
         parent[path[-1]] = value
         (tmp_path / "x.json").write_text(json.dumps(doc))
         assert run_cli(["explore", "--corpus", tmp_path, "--out", tmp_path / "r.json"]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: corpus entry x.json is malformed: {message}"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: x.json: {message}"]
+
+    @pytest.mark.parametrize("text,error", [
+        ("[" * 100_000 + "]" * 100_000, "cannot read corpus document: maximum recursion depth"),
+        (json.dumps(one_handler_entry("deep", functools.reduce(
+            lambda body, _: [{"op": "try", "body": body}], range(330), []))),
+         "services: statements nest deeper than the parser can read"),
+    ], ids=["deep-array", "deep-try"])
+    def test_nesting_too_deep_is_one_error_line(self, tmp_path, capsys, text, error):
+        (tmp_path / "x.json").write_text(text)
+        assert run_cli(["explore", "--corpus", tmp_path, "--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: x.json: {error}")
 
 
 class TestAwaitCycleAcrossWorkers:

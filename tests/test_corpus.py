@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from dexi.corpus import CorpusError, corpus_entry, default_corpus_dir, load_corpus
+from dexi.corpus import CorpusError, default_corpus_dir, load_corpus
 from dexi.simulator import run_execution
 
 BUNDLED = [
@@ -66,11 +66,6 @@ def test_unknown_expected_count_label_rejected(tmp_path):
     (tmp_path / "figure-2.json").write_text(json.dumps(doc))
     with pytest.raises(CorpusError, match="sideways"):
         load_corpus(tmp_path)
-
-
-def test_unknown_entry_lookup():
-    with pytest.raises(CorpusError, match="no corpus entry"):
-        corpus_entry("figure-99")
 
 
 def test_every_entry_fault_free_execution_terminates(corpus):
