@@ -37,7 +37,6 @@ from .simulator import (
     RpcEvent,
     propagate_context,
     run_execution,
-    run_sequence,
 )
 from .search import (
     FaultCatalog,
@@ -91,5 +90,4 @@ __all__ = [
     "reconstruct_graph",
     "run_execution",
     "run_nondeterminism_experiment",
-    "run_sequence",
 ]

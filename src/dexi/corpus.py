@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .indexing import CONFIG_LABELS, DexiError
-from .programs import Application, EntryRequest, parse_application, read_field
+from .programs import (Application, EntryRequest, parse_application, read_field,
+                       read_positive)
 
 
 class CorpusError(DexiError):
@@ -52,7 +53,7 @@ def load_entry(path: Path) -> CorpusEntry:
                              read_field(entry_doc, "args", dict, "entry", {}))
         app.validate_entry(entry)
         counts = read_field(doc, "expected_counts", dict, "", {})
-        expected = {label: read_field(counts, label, int, "expected_counts") for label in counts}
+        expected = {label: read_positive(counts, label, "expected_counts") for label in counts}
         for label in expected:
             if label not in CONFIG_LABELS:
                 raise CorpusError(f"expected_counts.{label}: unknown config label")

@@ -10,7 +10,7 @@ carries a stable synthetic source line so identifiers are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .indexing import DexiError, Signature
 
@@ -251,10 +251,15 @@ class Application:
         endpoint = svc.endpoints.get(entry.method)
         if endpoint is None:
             raise ProgramError(f"entry.method: unknown endpoint {entry.service}.{entry.method}")
-        declared = [name for name, _ in endpoint.params]
-        if set(entry.args) != set(declared):
-            raise ProgramError(f"entry.args: expected the parameters {declared} of "
-                               f"{entry.service}.{entry.method}, got {sorted(entry.args)}")
+        _check_args("entry.args", [name for name, _ in endpoint.params],
+                    f"{entry.service}.{entry.method}", entry.args)
+
+
+def _check_args(path: str, params: list[str], target: str, args: Iterable[str]) -> None:
+    """Raise unless the argument names `args` are the parameters of `target`."""
+    if set(args) != set(params):
+        raise ProgramError(f"{path}: expected the parameters {params} of {target}, "
+                           f"got {sorted(args)}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +303,14 @@ def read_field(doc: Any, key: str | int, kind: type, path: str = "",
     if default is _REQUIRED:
         raise DocumentError(f"{_at(path, key)}: missing")
     return default
+
+
+def read_positive(doc: Mapping[str, Any], key: str, path: str = "") -> int:
+    """The integer `doc[key]`, checked to be at least 1 (a line, a count)."""
+    value = read_field(doc, key, int, path)
+    if value < 1:
+        raise DocumentError(f"{_at(path, key)}: expected a positive integer, got {value}")
+    return value
 
 
 def _maps(doc: Mapping[str, Any], key: str, path: str,
@@ -362,6 +375,9 @@ def _stmt(doc: Mapping[str, Any], path: str, calls: list) -> Stmt:
         return read_field(doc, key, str, path, default)
 
     def line(default: Any = _REQUIRED) -> int:
+        # A call site's line is the stack frame it adds: a positive integer.
+        if default is _REQUIRED:
+            return read_positive(doc, "line", path)
         return read_field(doc, "line", int, path, default)
 
     if op == "assign":
@@ -443,12 +459,19 @@ def parse_application(doc: Mapping[str, Any]) -> Application:
         raise ProgramError("services: no service declared")
     for svc, path, stmt in calls:
         if isinstance(stmt, CallHelper):
-            if stmt.helper not in svc.helpers:
+            helper = svc.helpers.get(stmt.helper)
+            if helper is None:
                 raise ProgramError(f"{path}.helper: unknown helper {svc.name}.{stmt.helper}")
+            target, params = f"{svc.name}.{stmt.helper}", list(helper.params)
         elif stmt.service not in services:
             raise ProgramError(f"{path}.service: unknown service {stmt.service!r}")
         elif stmt.method not in services[stmt.service].endpoints:
             raise ProgramError(f"{path}.method: unknown endpoint {stmt.service}.{stmt.method}")
+        else:
+            target, params = f"{stmt.service}.{stmt.method}", [
+                name for name, _ in services[stmt.service].endpoints[stmt.method].params]
+        if not isinstance(stmt, OpenStream):  # a stream's sends are checked as they run
+            _check_args(f"{path}.args", params, target, [name for name, _ in stmt.args])
     return Application(services=services)
 
 

@@ -121,7 +121,7 @@ class SearchReport:
     _by_plan_key: dict[frozenset, ExecutedPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _nested_surfaces: dict[tuple[DistributedExecutionIndex, str], dict[str, Any]] = field(
+    _nested_surfaces: dict[tuple, dict[str, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _indexed: tuple[list[ExecutedPlan] | None, int] = field(
@@ -132,9 +132,9 @@ class SearchReport:
         """Index the executions appended since the last call.
 
         `_by_plan_key` maps a plan key to its (last) execution. For each
-        nested fault point and fault type, `_nested_surfaces` keeps the
-        enclosing RPC's surface from the first execution, in history order,
-        that injects that fault there and whose trace shows a surface. A
+        nested `fault_point`, `_nested_surfaces` keeps the enclosing RPC's
+        surface from the first execution, in history order, that injects
+        that fault there and whose trace shows a surface. A
         history that was replaced or shortened since the last call is
         indexed again from the start.
         """
@@ -148,11 +148,11 @@ class SearchReport:
             for dei, spec in ex.plan.items():
                 if len(dei) < 2:
                     continue
-                key = (dei, spec.fault_type)
-                if key not in self._nested_surfaces:
+                point = fault_point(dei, spec)
+                if point not in self._nested_surfaces:
                     surface = ex.surfaces.get(dei.prefix())
                     if surface is not None:
-                        self._nested_surfaces[key] = surface
+                        self._nested_surfaces[point] = surface
         self._indexed = (self.executions, len(self.executions))
 
     @property
@@ -213,10 +213,11 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
     A candidate that faults an RPC r nested under an enclosing RPC r' is
     pruned when an already-executed plan combines the candidate's other
     faults with a fault on r' whose observed surface equals the surface the
-    same fault on r gave r' in an earlier trace: everything above r' saw the
-    same inputs in that execution, so re-running it cannot observe anything
-    new. Single-fault plans are never pruned, and when the surfaces cannot
-    be matched up from history the candidate is kept.
+    same fault on r (the same `fault_point`: type, mode and response) gave
+    r' in an earlier trace: everything above r' saw the same inputs in that
+    execution, so re-running it cannot observe anything new. Single-fault
+    plans are never pruned, and when the surfaces cannot be matched up from
+    history the candidate is kept.
     """
     items = candidate.items()
     if len(items) < 2:
@@ -225,7 +226,8 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
     for dei, spec in items:
         if len(dei) < 2:
             continue
-        surface = history._nested_surfaces.get((dei, spec.fault_type))
+        point = fault_point(dei, spec)
+        surface = history._nested_surfaces.get(point)
         if surface is None or "fault" not in surface:
             # The enclosing RPC absorbed the nested failure (or was never
             # observed); its surface cannot match an injected fault, so keep.
@@ -233,7 +235,7 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
         enclosing = dei.prefix()
         # The sibling swaps this fault for the surface's fault on the
         # enclosing RPC; only its key is looked up, so none is built.
-        sibling = (candidate.key() - {fault_point(dei, spec)}
+        sibling = (candidate.key() - {point}
                    | {fault_point(enclosing, FaultSpec(surface["fault"]))})
         previous = history._by_plan_key.get(sibling)
         if previous is None:

@@ -130,7 +130,7 @@ def fault_point(dei: DistributedExecutionIndex, spec: FaultSpec) -> tuple:
 class FaultPlan:
     """The set of (index -> fault) injections applied during one execution.
 
-    A plain value: `run_sequence` checks its keys against the instantiation
+    A plain value: `run_execution` checks its keys against the instantiation
     the execution runs under.
     """
 
@@ -821,13 +821,6 @@ class _Execution:
 
     # -- RPC dispatch
 
-    def dispatch_entry(self, entry: EntryRequest) -> dict[str, Any]:
-        self.identities.app.validate_entry(entry)
-        try:
-            return {"value": self.handle(entry.service, entry.method, entry.args, None, ())}
-        except (RpcFailure, HandlerAbort) as failure:
-            return dict(failure.descriptor)
-
     def handle(
         self,
         service: str,
@@ -1102,8 +1095,23 @@ def _as_list(value: Any) -> list:
     return value
 
 
-def _not_a_stream(name: str) -> StreamStateError:
-    return StreamStateError(f"variable {name!r} is not an open stream")
+def _stream(ctx: _HandlerCtx, name: str) -> _Stream:
+    """The stream the handler's variable `name` holds."""
+    stream = ctx.scope.get(name)
+    if not isinstance(stream, _Stream):
+        raise StreamStateError(f"variable {name!r} is not an open stream")
+    return stream
+
+
+def _store(var: str | None, produce: Callable) -> Callable:
+    """The statement that runs `produce(ex, ctx)` and keeps its value in
+    `var`, when the statement names one."""
+    def run(ex, ctx):
+        value = produce(ex, ctx)
+        if var is not None:
+            ctx.scope[var] = value
+        return _NEXT
+    return run
 
 
 class _Compiler:
@@ -1155,10 +1163,7 @@ class _Compiler:
         match stmt:
             case Assign(var=var, value=value):
                 value = self.expr(value)
-
-                def run(ex, ctx):
-                    ctx.scope[var] = value(ctx)
-                    return _NEXT
+                return _store(var, lambda ex, ctx: value(ctx))
 
             case Append(list_var=list_var, value=value):
                 value = self.expr(value)
@@ -1169,22 +1174,13 @@ class _Compiler:
 
             case Rpc(service=callee, method=method, args=args, line=line, assign=assign):
                 args, site = self.args(args), self.site(line)
-
-                def run(ex, ctx):
-                    value = ex.invoke_rpc(ctx, callee, method, args(ctx), ctx.frames + site)
-                    if assign:
-                        ctx.scope[assign] = value
-                    return _NEXT
+                return _store(assign, lambda ex, ctx: ex.invoke_rpc(
+                    ctx, callee, method, args(ctx), ctx.frames + site))
 
             case CallHelper(helper=name, args=args, line=line, assign=assign):
                 helpers, args, site = self.helpers, self.args(args), self.site(line)
-
-                def run(ex, ctx):
-                    helper = helpers[name]
-                    value = helper(ex, ctx.child(args(ctx), ctx.frames + site))
-                    if assign:
-                        ctx.scope[assign] = value
-                    return _NEXT
+                return _store(assign, lambda ex, ctx: helpers[name](
+                    ex, ctx.child(args(ctx), ctx.frames + site)))
 
             case Loop(var=var, items=items, body=body):
                 items, body = self.expr(items), self.body(body)
@@ -1236,7 +1232,7 @@ class _Compiler:
                     return _NEXT
 
             case AwaitAll(futures=futures, assign=assign):
-                def run(ex, ctx):
+                def await_all(ex, ctx):
                     handles = _as_list(ctx.scope.get(futures, []))
                     if not all(isinstance(h, _TaskHandle) for h in handles):
                         raise HandlerAbort("service-error")
@@ -1247,35 +1243,23 @@ class _Compiler:
                             # and through its scope the handle, into its
                             # traceback.
                             raise copy.copy(handle.error)
-                    if assign:
-                        ctx.scope[assign] = [handle.value for handle in handles]
-                    return _NEXT
+                    return [handle.value for handle in handles]
+
+                return _store(assign, await_all)
 
             case OpenStream(service=callee, method=method, line=line, assign=assign):
                 site = self.site(line)
-
-                def run(ex, ctx):
-                    ctx.scope[assign] = ex.open_stream(ctx, callee, method, ctx.frames + site)
-                    return _NEXT
+                return _store(assign, lambda ex, ctx: ex.open_stream(
+                    ctx, callee, method, ctx.frames + site))
 
             case StreamSend(stream=name, args=args, line=line, assign=assign):
                 args, site = self.args(args), self.site(line)
-
-                def run(ex, ctx):
-                    stream = ctx.scope.get(name)
-                    if not isinstance(stream, _Stream):
-                        raise _not_a_stream(name)
-                    value = ex.stream_send(ctx, stream, args(ctx), ctx.frames + site)
-                    if assign:
-                        ctx.scope[assign] = value
-                    return _NEXT
+                return _store(assign, lambda ex, ctx: ex.stream_send(
+                    ctx, _stream(ctx, name), args(ctx), ctx.frames + site))
 
             case CloseStream(stream=name):
                 def run(ex, ctx):
-                    stream = ctx.scope.get(name)
-                    if not isinstance(stream, _Stream):
-                        raise _not_a_stream(name)
-                    ex.finalize_stream(stream)
+                    ex.finalize_stream(_stream(ctx, name))
                     return _NEXT
 
             case _:
@@ -1378,22 +1362,8 @@ def propagate_context(
 
 
 def run_execution(
-    app: Application, entry: EntryRequest, plan: FaultPlan | None = None, **options
-) -> ExecutionTrace:
-    """Execute one entry request against the application and finalize the trace.
-
-    At each RPC the callee path is the caller's received index, the count
-    comes from the shared per-execution counter, and the fault plan is
-    consulted before delivery. Every RPC is recorded under its final index:
-    preliminary stream prefixes are resolved when the RPC is recorded.
-    `options` are those of `run_sequence`.
-    """
-    return run_sequence(app, [entry], plan, **options)[0]
-
-
-def run_sequence(
     app: Application,
-    entries: Iterable[EntryRequest],
+    entry: EntryRequest,
     plan: FaultPlan | None = None,
     *,
     seed: int = 0,
@@ -1402,8 +1372,13 @@ def run_sequence(
     pool_size: int = 2,
     budget: int = DEFAULT_STEP_BUDGET,
     identities: IdentityTable | None = None,
-) -> list[ExecutionTrace]:
-    """Run several entry requests sharing one counter state (one functional test).
+) -> ExecutionTrace:
+    """Execute one entry request against the application and finalize the trace.
+
+    At each RPC the callee path is the caller's received index, the count
+    comes from the execution's counter, and the fault plan is consulted
+    before delivery. Every RPC is recorded under its final index:
+    preliminary stream prefixes are resolved when the RPC is recorded.
 
     The execution runs under the instantiation of `identities`, the table
     `explore` shares among its executions; without a table it builds one
@@ -1427,24 +1402,23 @@ def run_sequence(
             )
     sched = _make_scheduler(scheduler, seed, pool_size)
     execution = _Execution(plan=plan, scheduler=sched, budget=budget, identities=identities)
-    traces = []
     try:
-        for entry in entries:
-            start = len(execution.events)
-            outcome = execution.dispatch_entry(entry)
-            traces.append(ExecutionTrace(
-                events=tuple(execution.events[start:]),
-                entry_request=entry,
-                entry_outcome=outcome,
-                seed=seed,
-                scheduler_mode=sched.mode,
-                config=identities.config,
-                warnings=tuple(dict.fromkeys(execution.warnings)),
-            ))
+        app.validate_entry(entry)
+        outcome = {"value": execution.handle(entry.service, entry.method, entry.args, None, ())}
+    except (RpcFailure, HandlerAbort) as failure:
+        outcome = dict(failure.descriptor)
     except RecursionError:
         # Without paths an index does not show its depth, so MAX_INDEX_DEPTH
         # cannot bound the nesting; the interpreter's limit does instead.
         raise DexiError("RPC nesting exceeded the interpreter's recursion limit") from None
     finally:
         sched.close()
-    return traces
+    return ExecutionTrace(
+        events=tuple(execution.events),
+        entry_request=entry,
+        entry_outcome=outcome,
+        seed=seed,
+        scheduler_mode=sched.mode,
+        config=identities.config,
+        warnings=tuple(dict.fromkeys(execution.warnings)),
+    )

@@ -154,6 +154,16 @@ def symbolic(trace: ExecutionTrace, with_payload: bool = False) -> tuple:
     return tuple(out)
 
 
+# One fault type as an exception and as a shaped response.
+MIXED_MODES = (FaultSpec("x"), FaultSpec("x", mode="response", response="R"))
+
+
+def fault_key(spec: FaultSpec) -> str:
+    """A whole fault, type, mode and response, as the sorted JSON of its
+    descriptor: the `outcome` of the `fault_injected` event it records."""
+    return json.dumps(spec.descriptor(), sort_keys=True)
+
+
 def _fault_points(
     discovered: set[DistributedExecutionIndex], catalog: FaultCatalog
 ) -> list[tuple[DistributedExecutionIndex, tuple[FaultSpec, ...]]]:
@@ -187,7 +197,7 @@ def brute_force_execution_set(
         plan = FaultPlan(plan_map)
         trace = run_execution(app, entry, plan, seed=seed, config=config)
         fired = frozenset(
-            (ev.dei, ev.outcome["fault"])
+            (ev.dei, json.dumps(ev.outcome, sort_keys=True))
             for ev in trace.events
             if ev.kind == "fault_injected" and ev.dei is not None and ev.outcome
         )
@@ -206,7 +216,7 @@ def brute_force_execution_set(
             if not chosen:
                 continue
             plan_map = {dei: spec for dei, spec in chosen}
-            key = frozenset((d, s.fault_type) for d, s in plan_map.items())
+            key = frozenset((d, fault_key(s)) for d, s in plan_map.items())
             if key not in tried:
                 candidates.append((key, plan_map))
         if not candidates:
@@ -220,12 +230,8 @@ def brute_force_execution_set(
 
 def explore_execution_keys(report) -> set[frozenset]:
     """Effective-plan keys of an exploration report (for oracle comparison)."""
-    keys = set()
-    for ex in report.executions:
-        keys.add(
-            frozenset((dei, spec.fault_type) for dei, spec in ex.plan.items())
-        )
-    return keys
+    return {frozenset((dei, fault_key(spec)) for dei, spec in ex.plan.items())
+            for ex in report.executions}
 
 
 def rpc_site_count(app: Application) -> int:
@@ -255,8 +261,8 @@ def _surface_of_enclosing(
 def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionDecision:
     """Dynamic reduction as first written: for every candidate it rebuilds
     the plan-key map and scans the whole history for each nested fault
-    point and fault type. The search's indexed version must decide exactly
-    as this does."""
+    point and whole fault (type, mode and response). The search's indexed
+    version must decide exactly as this does."""
     items = candidate.items()
     if len(items) < 2:
         return ReductionDecision(prune=False)
@@ -268,7 +274,7 @@ def reference_dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> 
         surface = None
         for ex in history.executions:
             injected = ex.plan.match(dei)
-            if injected is not None and injected.fault_type == spec.fault_type:
+            if injected is not None and fault_key(injected) == fault_key(spec):
                 surface = _surface_of_enclosing(ex.trace, enclosing)
                 if surface is not None:
                     break

@@ -364,6 +364,14 @@ def assign(var: str, value) -> dict:
 SPAWN_FS = {"op": "spawn", "futures": "fs", "line": 2, "body": []}
 
 
+def decide(cond: dict, holds: bool) -> dict:
+    """An `if` on `cond` that raises a `service-error` in the branch `cond`
+    leads to when it `holds`, and returns a value in the other one."""
+    raised, returned = [{"op": "raise"}], [{"op": "return", "value": {"const": "wrong branch"}}]
+    return {"op": "if", "cond": cond, "then": raised if holds else returned,
+            "else": returned if holds else raised}
+
+
 def await_cycle_body() -> list:
     """Each `l1` block awaits the `l2` list, whose second block awaits `l1`."""
     def spawn(futures, line, body):
@@ -444,11 +452,21 @@ class TestMalformedCorpus:
         ("figure-4", RPC + ("line",), 2.5, f"{R}.line: expected an integer, got a number"),
         ("figure-4", ("expected_counts", "full"), "4",
          "expected_counts.full: expected an integer, got a string"),
+        ("figure-4", RPC + ("line",), -1, f"{R}.line: expected a positive integer, got -1"),
+        ("figure-4", ("expected_counts", "full"), 0,
+         "expected_counts.full: expected a positive integer, got 0"),
+        ("figure-4", RPC + ("args",), {"t": {"var": "s"}},
+         f"{R}.args: expected the parameters ['s'] of b.echo, got ['t']"),
+        ("figure-2", BODY + (0, "args"), {"t": {"const": "Hello"}},
+         f"{B}[0].args: expected the parameters ['s'] of a.echo, got ['t']"),
+        ("figure-2", ("services", 0, "helpers", 0, "params"), ["q"],
+         f"{B}[0].args: expected the parameters ['q'] of a.echo, got ['s']"),
     ], ids=["rpc-args-null", "endpoints-str", "helpers-of-str", "join-sep-null", "assign-var-list",
             "loop-var-list", "spawn-futures-list", "rpc-assign-list", "await-futures-list",
             "await-assign-list", "append-list-list", "open-stream-assign-list",
             "stream-send-stream-list", "var-expr-list", "is-set-int", "line-bool", "line-float",
-            "count-str"])
+            "count-str", "line-negative", "count-zero", "rpc-args-renamed", "call-args-renamed",
+            "helper-params-renamed"])
     def test_parser_names_the_wrong_field(self, tmp_path, capsys, document, path, value, message):
         doc = json.loads((default_corpus_dir() / f"{document}.json").read_text())
         parent = doc
@@ -508,7 +526,9 @@ print("50 cycles")
 class TestCorpusValues:
     """A corpus program that uses a value as the wrong kind ends its handler
     with a service error; a misplaced break, or a futures list or stream sent
-    across an RPC boundary, ends the run with one stable error line."""
+    across an RPC boundary, ends the run with one stable error line. The
+    `eq` and `list` cases raise the service error only in the branch their
+    value leads to."""
 
     @pytest.mark.parametrize(
         "body,error",
@@ -532,10 +552,16 @@ class TestCorpusValues:
             ([{"op": "open_stream", "service": "b", "method": "get", "line": 2, "assign": "st"},
               {"op": "return", "value": {"var": "st"}}],
              "a.go returns a stream, which cannot cross an RPC boundary"),
+            ([{"op": "return", "value": {"first": {"const": []}}}], None),
+            ([decide({"eq": [{"const": 1}, {"const": 1}]}, True)], None),
+            ([decide({"eq": [{"const": 1}, {"const": 2}]}, False)], None),
+            ([decide({"eq": [{"join": {"list": {"list": [{"const": "a"}, {"const": 2}]},
+                                       "sep": "-"}},
+                             {"const": "a-2"}]}, True)], None),
         ],
         ids=["await-str", "await-ints", "loop-int", "join-int", "first-int", "append-str",
              "spawn-str", "break", "break-in-block", "return-futures", "rpc-arg-futures",
-             "return-stream"],
+             "return-stream", "first-empty", "eq-true", "eq-false", "list-join"],
     )
     def test_no_traceback(self, tmp_path, body, error):
         (tmp_path / "probe.json").write_text(json.dumps(one_handler_entry("probe", body)))

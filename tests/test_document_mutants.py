@@ -1,9 +1,9 @@
 """Every corpus document and one trace file, each with one field deleted or
 replaced by a value of another kind: dexi runs the mutant, or exits 2 with one
 `error:` line that names the file and a JSON path. It never ends in a
-traceback. A corpus mutant may also load and then fail as it runs (an RPC
-whose arguments do not match its target's parameters, a stream variable that
-holds no open stream, a budget run out): that error line names the entry.
+traceback. A corpus mutant may also load and then fail as it runs (a stream
+send whose arguments do not match its target's parameters, a stream variable
+that holds no open stream, a budget run out): that error line names the entry.
 
 Tier-1 runs every trace mutant and a fixed stride of the corpus mutants.
 `python tests/test_document_mutants.py` runs every mutant of both.

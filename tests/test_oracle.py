@@ -13,9 +13,11 @@ from dexi.search import FaultCatalog, explore
 from dexi.simulator import FaultSpec
 
 from helpers import (
+    MIXED_MODES,
     brute_force_execution_set,
     build_figure1,
     explore_execution_keys,
+    fault_key,
     rpc_site_count,
 )
 
@@ -27,7 +29,7 @@ def assert_oracle_equivalence(app, entry, catalog):
     assert explored == set(oracle)
     # Trace agreement per effective plan, not just plan-set equality.
     by_key = {
-        frozenset((d, s.fault_type) for d, s in ex.plan.items()): ex.trace
+        frozenset((d, fault_key(s)) for d, s in ex.plan.items()): ex.trace
         for ex in report.executions
     }
     for key, oracle_trace in oracle.items():
@@ -67,13 +69,15 @@ def test_figure1_matches_brute_force():
     app, entry = build_figure1()
     catalog = FaultCatalog.uniform(app)
     assert_oracle_equivalence(app, entry, catalog)
+    mixed = FaultCatalog({sig: MIXED_MODES for sig in catalog.signatures()})
+    assert_oracle_equivalence(app, entry, mixed)
 
 
 def test_multiple_fault_types_per_signature(corpus):
     entry = corpus["figure-2"]
     catalog = FaultCatalog.uniform(entry.app)
     sig = catalog.signatures()[0]
-    rich = FaultCatalog(
-        {sig: (FaultSpec("connection-error"), FaultSpec("deadline-exceeded"))}
-    )
-    assert_oracle_equivalence(entry.app, entry.entry_request, rich)
+    # Two types, then one type in both modes: the oracle keys the whole
+    # fault, so an exception and a response of one type are two points.
+    for specs in ((FaultSpec("connection-error"), FaultSpec("deadline-exceeded")), MIXED_MODES):
+        assert_oracle_equivalence(entry.app, entry.entry_request, FaultCatalog({sig: specs}))

@@ -15,7 +15,6 @@ from dexi.simulator import (
     IdentityTable,
     StepBudgetExceededError,
     run_execution,
-    run_sequence,
 )
 
 from helpers import build_nested
@@ -171,16 +170,16 @@ class TestReplayBoundaries:
         entry = EntryRequest(service="a", method="go", args={})
         total = 1 + 2 + 2 * 2
         shared = IdentityTable(app, config_from_label("full"))
-        run_sequence(app, [entry], identities=shared)
+        run_execution(app, entry, identities=shared)
         assert calls["record"] == 1
         for budget in range(1, total + 2):
             fresh = shared_run = None
             try:
-                run_sequence(app, [entry], budget=budget)
+                run_execution(app, entry, budget=budget)
             except StepBudgetExceededError as exc:
                 fresh = str(exc)
             try:
-                run_sequence(app, [entry], identities=shared, budget=budget)
+                run_execution(app, entry, identities=shared, budget=budget)
             except StepBudgetExceededError as exc:
                 shared_run = str(exc)
             assert fresh == shared_run, budget

@@ -27,6 +27,7 @@ from dexi.search import (
 from dexi.simulator import ExecutionTrace, FaultPlan, FaultSpec, RpcEvent, run_execution
 
 from helpers import (
+    MIXED_MODES,
     _surface_of_enclosing,
     build_figure1,
     build_nested,
@@ -329,21 +330,25 @@ class TestIndexedReduction:
             )
 
     @pytest.mark.parametrize(
-        "faults,counts",
-        [(("connection-error",), (12, 4)), (("connection-error", "timeout"), (33, 16))],
-        ids=["one-fault", "two-faults"],
+        "mids,faults,counts",
+        [(2, (FaultSpec("connection-error"),), (12, 4)),
+         (2, (FaultSpec("connection-error"), FaultSpec("timeout")), (33, 16)),
+         (2, MIXED_MODES, (57, 20)),
+         (3, MIXED_MODES, (385, 140))],
+        ids=["one-fault", "two-faults", "mixed-modes", "mixed-modes-3-mids"],
     )
-    def test_matches_reference_on_nested_app(self, monkeypatch, faults, counts):
-        # With two fault types per RPC, a nested point is injected with
-        # different faults, so its enclosing RPC shows different surfaces
-        # across the history and the first one must be the one kept.
-        app, entry = build_nested(mids=2, leaves=2)
-        catalog = FaultCatalog(
-            {sig: tuple(FaultSpec(f) for f in faults)
-             for sig in FaultCatalog.uniform(app).signatures()}
-        )
+    def test_matches_reference_on_nested_app(self, monkeypatch, mids, faults, counts):
+        # With two faults per RPC, a nested point is injected with different
+        # faults, so its enclosing RPC shows different surfaces across the
+        # history and the first one must be the one kept. Under a response
+        # fault the mid succeeds, so its surface must not stand in for the
+        # exception fault's of the same type.
+        app, entry = build_nested(mids=mids, leaves=2)
+        catalog = FaultCatalog({sig: faults for sig in FaultCatalog.uniform(app).signatures()})
         report = _run_against_reference(monkeypatch, app, entry, FULL_CONFIG, catalog)
         assert (report.total_executed, len(report.pruned)) == counts
+        # Reduction safety: the pruned plans reach no entry outcome of their own.
+        assert report.entry_outcomes() == explore(app, entry, catalog).entry_outcomes()
 
     def test_pruned_reason_cites_the_injected_fault(self):
         # Each reason's surface must come from the fault type the pruned

@@ -46,7 +46,6 @@ from dexi.simulator import (
     StepBudgetExceededError,
     propagate_context,
     run_execution,
-    run_sequence,
 )
 
 from helpers import symbolic
@@ -748,15 +747,17 @@ class TestEntryValidation:
 
     def test_wrong_rpc_args_at_a_known_call_site(self):
         # Both statements are one call site with equal argument bytes; only
-        # the argument name differs, and it must still be checked.
-        rpc = {"op": "rpc", "service": "b", "method": "get", "line": 3}
-        app = parse_application({"services": [
-            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
-                {**rpc, "args": {"x": {"const": 1}}},
-                {**rpc, "args": {"y": {"const": 1}}},
-            ]}]},
-            {"name": "b", "endpoints": [{"method": "get", "params": [{"name": "x"}], "body": []}]},
-        ]})
+        # the argument name differs, and it must still be checked. Built from
+        # statements: `parse_application` rejects the second one at load.
+        def rpc(name: str) -> Rpc:
+            return Rpc(service="b", method="get", args=((name, Const(1)),), line=3)
+
+        app = Application(services={
+            "a": ServiceProgram(name="a", endpoints={
+                "go": Endpoint(method="go", params=(), body=(rpc("x"), rpc("y")))}),
+            "b": ServiceProgram(name="b", endpoints={
+                "get": Endpoint(method="get", params=(("x", "String"),), body=())}),
+        })
         with pytest.raises(ArityMismatchError):
             run_execution(app, EntryRequest(service="a", method="go", args={}))
 
@@ -907,6 +908,8 @@ class TestTraceCodecMemo:
 
 
 class TestRunSequence:
+    """`run_execution` under an identity table it did not build."""
+
     def test_execution_runs_under_its_tables_instantiation(self, corpus):
         entry = corpus["cinema-10"]
         table = simulator.IdentityTable(entry.app, config_from_label("3milebeach"))
@@ -925,18 +928,10 @@ class TestRunSequence:
         entry = EntryRequest(service="a", method="go", args={})
         app_a = returning("from-A")
         table = simulator.IdentityTable(app_a, indexing.FULL_CONFIG)
-        [trace] = run_sequence(app_a, [entry], identities=table)
+        trace = run_execution(app_a, entry, identities=table)
         assert trace.entry_outcome == {"value": "from-A"}
         # The table holds the programs it compiled: running it for another
         # app, even an equal one built apart, would run app A's programs.
         for other in (returning("from-B"), returning("from-A")):
             with pytest.raises(DexiError, match="^identity table built for another application$"):
-                run_sequence(other, [entry], identities=table)
-
-    def test_entries_share_counter_state(self, corpus):
-        entry = corpus["figure-2"]
-        traces = run_sequence(entry.app, [entry.entry_request, entry.entry_request])
-        first, second = traces
-        assert [d.last.count for d in first.invocation_deis()] == [1, 1]
-        # Same sites and payloads again: counts continue rather than reset.
-        assert [d.last.count for d in second.invocation_deis()] == [2, 2]
+                run_execution(other, entry, identities=table)
