@@ -374,11 +374,12 @@ def _stmt(doc: Mapping[str, Any], path: str, calls: list) -> Stmt:
     def name(key: str, default: Any = _REQUIRED) -> str:
         return read_field(doc, key, str, path, default)
 
-    def line(default: Any = _REQUIRED) -> int:
-        # A call site's line is the stack frame it adds: a positive integer.
-        if default is _REQUIRED:
-            return read_positive(doc, "line", path)
-        return read_field(doc, "line", int, path, default)
+    def line(default: int | None = None) -> int:
+        # Every `line` given is a positive integer; a call site's is the
+        # stack frame it adds.
+        if default is not None and "line" not in doc:
+            return default
+        return read_positive(doc, "line", path)
 
     if op == "assign":
         return Assign(name("var"), _expr(doc, "value", path))

@@ -25,6 +25,7 @@ from .indexing import (
     InstantiationConfig,
     Signature,
     project,
+    related,
 )
 from .programs import Application, EntryRequest, OpenStream, Rpc, iter_statements
 from .simulator import (
@@ -89,14 +90,11 @@ class ExecutedPlan:
         Built in one pass over the trace, when reduction first reads it."""
         surfaces: dict[DistributedExecutionIndex | None, dict[str, Any] | None] = {}
         for event in self.trace.events:
-            kind, outcome = event.kind, event.outcome
-            if kind not in ("completion", "fault_injected") or event.dei in surfaces:
+            outcome = event.outcome
+            if event.kind not in ("completion", "fault_injected") or event.dei in surfaces:
                 continue
-            if outcome and (kind == "fault_injected" or "fault" in outcome):
-                if outcome.keys() != {"fault"}:
-                    outcome = {"fault": outcome.get("fault")}
-            elif kind == "fault_injected":
-                outcome = None
+            if outcome and "fault" in outcome and len(outcome) > 1:
+                outcome = {"fault": outcome["fault"]}
             surfaces[event.dei] = outcome
         return surfaces
 
@@ -289,17 +287,19 @@ def explore(
         trace = run_execution(app, entry, plan, **options)
         report.executions.append(ExecutedPlan(plan=plan, trace=trace))
         # Extend only with RPCs that are not causally before an injected
-        # fault: failing an earlier RPC could make the planned faults
-        # unreachable, and causal (rather than observed) order keeps the
-        # generated plan set identical across schedules.
-        fault_events = [e for e in trace.events if e.kind == "fault_injected"]
-        for event in trace.invocation_events():
-            if event.dei is None:
+        # fault (at a lower position, on a related task path): failing an
+        # earlier RPC could make the planned faults unreachable, and causal
+        # (rather than observed) order keeps the generated plan set
+        # identical across schedules.
+        injected = [(seq, e.lineage) for seq, e in enumerate(trace.events)
+                    if e.kind == "fault_injected"]
+        for seq, event in enumerate(trace.events):
+            if event.kind != "invocation":
                 continue
             report.discovered_deis.add(event.dei)
             if event.dei in plan:
                 continue
-            if any(event.causally_precedes(f) for f in fault_events):
+            if any(seq < at and related(event.lineage, task) for at, task in injected):
                 continue
             faults = catalog.faults_for_digest(
                 event.dei.last.signature_digest,

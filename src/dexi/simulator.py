@@ -41,7 +41,6 @@ from .indexing import (
     InvocationSignature,
     dei_extend,
     mask_invocation_signature,
-    related,
 )
 from .programs import (
     Application,
@@ -176,15 +175,15 @@ EMPTY_PLAN = FaultPlan()
 class RpcEvent(NamedTuple):
     """One recorded step of an execution, an immutable record.
 
-    `lineage` is the task path of the recording task (empty for the root);
-    two events are causally ordered only when one lineage prefixes the other.
-    A tuple, because a search report keeps every event of every execution and
-    an execution records one or two per RPC: it is built in one step, where a
+    An event's sequence number is its position in the trace. `lineage` is
+    the task path of the recording task (empty for the root); two events
+    are causally ordered only when one lineage prefixes the other. A tuple,
+    because a search report keeps every event of every execution and an
+    execution records one or two per RPC: it is built in one step, where a
     frozen dataclass sets each field apart.
     """
 
     kind: str  # invocation | fault_injected | completion | stream_opened | index_rewritten
-    sequence_number: int
     caller: str
     callee: str
     method: str
@@ -194,14 +193,11 @@ class RpcEvent(NamedTuple):
     outcome: dict[str, Any] | None = None
     lineage: tuple[int, ...] = ()
 
-    def causally_precedes(self, other: RpcEvent) -> bool:
-        return (self.sequence_number < other.sequence_number
-                and related(self.lineage, other.lineage))
-
-    def to_json(self) -> dict[str, Any]:
+    def to_json(self, seq: int) -> dict[str, Any]:
+        """The event's trace record, at position `seq` of its trace."""
         doc: dict[str, Any] = {
             "kind": self.kind,
-            "seq": self.sequence_number,
+            "seq": seq,
             "caller": self.caller,
             "callee": self.callee,
             "method": self.method,
@@ -222,12 +218,13 @@ class RpcEvent(NamedTuple):
         cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex]
     ) -> RpcEvent:
         """Rebuild an event from its `to_json` record. `decoded` maps wire
-        text to the index it was decoded to, and gains new ones."""
+        text to the index it was decoded to, and gains new ones. `seq` must be
+        an integer, and is dropped: an event's position is its sequence number."""
         payload = read_field(doc, "payload", dict, "", None)
         task = read_field(doc, "task", list, "", [])
+        read_field(doc, "seq", int)
         return cls(
             kind=read_field(doc, "kind", str),
-            sequence_number=read_field(doc, "seq", int),
             caller=read_field(doc, "caller", str, "", ""),
             callee=read_field(doc, "callee", str, "", ""),
             method=read_field(doc, "method", str, "", ""),
@@ -254,23 +251,23 @@ def _decode(doc: Mapping[str, Any], key: str,
     return dei
 
 
-def _record_key(event: RpcEvent) -> tuple | None:
-    """The key `to_json_lines` keeps `event`'s line under, or None.
+def _record_key(seq: int, event: RpcEvent) -> tuple | None:
+    """The key `to_json_lines` keeps the line of `event` at `seq` under, or None.
 
     Equal keys must mean equal lines. Python equates `1`, `1.0` and `True`,
     and `0.0` and `-0.0`, where JSON writes each differently; so an event is
     keyed only when its text fields and every `payload` and `outcome` name
-    and value are `str`, and its `seq` and task are `int`. Equal indexes
-    always encode to the same wire text.
+    and value are `str`, and its task is `int`. Equal indexes always encode
+    to the same wire text.
     """
-    kind, seq, caller, callee, method, dei, preliminary, payload, outcome, lineage = event
+    kind, caller, callee, method, dei, preliminary, payload, outcome, lineage = event
     if outcome is None:
         items = None
     elif type(outcome) is dict:
         items = tuple(outcome.items())
     else:
         return None
-    if (type(seq) is not int or type(kind) is not str or type(caller) is not str
+    if (type(kind) is not str or type(caller) is not str
             or type(callee) is not str or type(method) is not str):
         return None
     for task in lineage:
@@ -332,14 +329,14 @@ class ExecutionTrace:
         }
         encode = _TRACE_JSON.encode
         lines = [encode(header)]
-        for event in self.events:
-            key = _record_key(event)
+        for seq, event in enumerate(self.events):
+            key = _record_key(seq, event)
             if key is None:
-                lines.append(encode(event.to_json()))
+                lines.append(encode(event.to_json(seq)))
                 continue
             line = encoded.get(key)
             if line is None:
-                line = encoded[key] = encode(event.to_json())
+                line = encoded[key] = encode(event.to_json(seq))
             lines.append(line)
         return lines
 
@@ -768,7 +765,7 @@ class _Execution:
                outcome: dict[str, Any] | None = None,
                lineage: tuple[int, ...] = ()) -> None:
         with self._lock:
-            self.events.append(RpcEvent._make((kind, len(self.events), caller, callee, method,
+            self.events.append(RpcEvent._make((kind, caller, callee, method,
                                                dei, preliminary_dei, payload, outcome, lineage)))
 
     def warn(self, message: str) -> None:
@@ -802,17 +799,17 @@ class _Execution:
         if not config.include_count:
             count = 1
         dei = self.identities.index(id_path, id_inv, count, preliminary)
-        if preliminary:
-            return dei
-        with self._lock:
-            collided = dei in self.assigned
-            self.assigned.add(dei)
-        if collided:
-            self._collision(dei)
+        if not preliminary:
+            self._claim(dei)
         return dei
 
-    def _collision(self, dei: DistributedExecutionIndex) -> None:
-        """A second RPC of the trace got `dei`."""
+    def _claim(self, dei: DistributedExecutionIndex) -> None:
+        """Add `dei` to the trace's indexes: a second RPC with it is a
+        duplicate under the full instantiation, and a warning otherwise."""
+        with self._lock:
+            if dei not in self.assigned:
+                self.assigned.add(dei)
+                return
         # Rewrites are injective under the full instantiation, so this sees
         # every duplicate the trace would show.
         if self.identities.config.is_full:
@@ -838,9 +835,7 @@ class _Execution:
         rewrites, or a map argument (canonical bytes ignore key order and
         `str()` does not). A callee without rpc statements is too cheap to key.
         """
-        endpoint = self.identities.endpoints.get((service, method))
-        if endpoint is None:
-            self.identities.app.endpoint(service, method)  # raises the ProgramError naming it
+        endpoint = self.identities.endpoints[service, method]
         if (final is not None and endpoint.issues_rpcs and self.subtrees is not None
                 and not self.rewrites and not any(map(_holds_map, args.values()))):
             key = (final, self.plan.below(final))
@@ -888,20 +883,18 @@ class _Execution:
 
     def _replay(self, record: _Subtree, lineage: tuple[int, ...]) -> Any:
         """Append a recorded subtree's events under this caller, as its run
-        would have: fresh sequence numbers, the caller's task path. Its steps
-        are charged first, so past the budget it raises what its run would."""
+        would have: the recorded events themselves, or copies under the
+        caller's task path when it differs. Its steps are charged first, so
+        past the budget it raises what its run would."""
         self.step(record.steps)
-        for dei in record.indexes:  # virtual scheduler: no other thread
-            if dei in self.assigned:
-                self._collision(dei)
-            self.assigned.add(dei)
-        moved, kept = lineage != record.lineage, len(record.lineage)
-        with self._lock:
-            for event in record.events:
-                task = event.lineage
-                if moved:
-                    task = self.identities.lineage(lineage, task[kept:])
-                self.events.append(RpcEvent._make((event[0], len(self.events), *event[2:9], task)))
+        for dei in record.indexes:
+            self._claim(dei)
+        if lineage == record.lineage:
+            self.events.extend(record.events)
+        else:
+            kept, tasks = len(record.lineage), self.identities.lineage
+            self.events.extend([event._replace(lineage=tasks(lineage, event.lineage[kept:]))
+                                for event in record.events])
         self.warnings.extend(record.warnings)
         if record.failure is not None:
             raise RpcFailure(record.failure)
@@ -1408,9 +1401,10 @@ def run_execution(
     except (RpcFailure, HandlerAbort) as failure:
         outcome = dict(failure.descriptor)
     except RecursionError:
-        # Without paths an index does not show its depth, so MAX_INDEX_DEPTH
-        # cannot bound the nesting; the interpreter's limit does instead.
-        raise DexiError("RPC nesting exceeded the interpreter's recursion limit") from None
+        # MAX_INDEX_DEPTH bounds neither helper calls nor RPC chains whose
+        # indexes carry no path; the interpreter's limit bounds both.
+        raise DexiError("RPC or helper call nesting exceeded the interpreter's "
+                        "recursion limit") from None
     finally:
         sched.close()
     return ExecutionTrace(

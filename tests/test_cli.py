@@ -461,12 +461,22 @@ class TestMalformedCorpus:
          f"{B}[0].args: expected the parameters ['s'] of a.echo, got ['t']"),
         ("figure-2", ("services", 0, "helpers", 0, "params"), ["q"],
          f"{B}[0].args: expected the parameters ['q'] of a.echo, got ['s']"),
+        ("figure-4", BODY + (1, "line"), 0, f"{B}[1].line: expected a positive integer, got 0"),
+        ("figure-4", BODY + (1, "body", 0, "line"), -1,
+         f"{B}[1].body[0].line: expected a positive integer, got -1"),
+        ("figure-4", BODY + (2, "line"), 0, f"{B}[2].line: expected a positive integer, got 0"),
+        ("figure-4", ("services", 1, "name"), "a", "services[1].name: service 'a' declared twice"),
+        ("figure-4", ("services", 1, "endpoints"), [{"method": "echo", "body": []}] * 2,
+         "services[1].endpoints[1].method: endpoint 'echo' declared twice"),
+        ("figure-4", ("services", 1, "helpers"), [{"name": "h", "body": []}] * 2,
+         "services[1].helpers[1].name: helper 'h' declared twice"),
     ], ids=["rpc-args-null", "endpoints-str", "helpers-of-str", "join-sep-null", "assign-var-list",
             "loop-var-list", "spawn-futures-list", "rpc-assign-list", "await-futures-list",
             "await-assign-list", "append-list-list", "open-stream-assign-list",
             "stream-send-stream-list", "var-expr-list", "is-set-int", "line-bool", "line-float",
             "count-str", "line-negative", "count-zero", "rpc-args-renamed", "call-args-renamed",
-            "helper-params-renamed"])
+            "helper-params-renamed", "loop-line-zero", "spawn-line-negative", "await-line-zero",
+            "service-twice", "endpoint-twice", "helper-twice"])
     def test_parser_names_the_wrong_field(self, tmp_path, capsys, document, path, value, message):
         doc = json.loads((default_corpus_dir() / f"{document}.json").read_text())
         parent = doc
@@ -558,10 +568,12 @@ class TestCorpusValues:
             ([decide({"eq": [{"join": {"list": {"list": [{"const": "a"}, {"const": 2}]},
                                        "sep": "-"}},
                              {"const": "a-2"}]}, True)], None),
+            ([assign("st", "abc"), {"op": "stream_send", "stream": "st", "args": {}, "line": 2}],
+             "variable 'st' is not an open stream"),
         ],
         ids=["await-str", "await-ints", "loop-int", "join-int", "first-int", "append-str",
              "spawn-str", "break", "break-in-block", "return-futures", "rpc-arg-futures",
-             "return-stream", "first-empty", "eq-true", "eq-false", "list-join"],
+             "return-stream", "first-empty", "eq-true", "eq-false", "list-join", "send-non-stream"],
     )
     def test_no_traceback(self, tmp_path, body, error):
         (tmp_path / "probe.json").write_text(json.dumps(one_handler_entry("probe", body)))

@@ -90,11 +90,14 @@ def fault(status: int, err: list[str], error: str) -> str | None:
     return f"exit {status}: {err}"
 
 
-def _wrong_kind_accepted(path: tuple, original, value, status: int) -> bool:
-    """A `var`, `line` or `expected_counts` value of another JSON kind that
-    ran: each must be an error."""
-    checked = path[-1] in ("var", "line") or path[0] == "expected_counts"
-    return checked and value is not DELETED and type(value) is not type(original) and status == 0
+def _wrong_value_accepted(path: tuple, original, value, status: int) -> bool:
+    """A `var`, `line` or `expected_counts` value of another JSON kind, or a
+    `line` or `expected_counts` integer below 1, that ran: each must be an
+    error."""
+    counted = path[-1] == "line" or path[0] == "expected_counts"
+    if status != 0 or value is DELETED or not (counted or path[-1] == "var"):
+        return False
+    return type(value) is not type(original) or (counted and type(value) is int and value < 1)
 
 
 def corpus_mutants(workdir: Path, stride: int = 1) -> tuple[dict[int, int], list[str]]:
@@ -117,8 +120,8 @@ def corpus_mutants(workdir: Path, stride: int = 1) -> tuple[dict[int, int], list
         statuses[status] = statuses.get(status, 0) + 1
         entry = re.escape(name.removesuffix(".json"))
         problem = fault(status, err, rf"error: (?:{re.escape(name)}: {PATH}|{entry}): .+")
-        if problem is None and _wrong_kind_accepted(path, original, value, status):
-            problem = "a value of another kind ran"
+        if problem is None and _wrong_value_accepted(path, original, value, status):
+            problem = "a value of another kind, or out of range, ran"
         if problem is not None:
             faults.append(f"{name} {_shown(path, value)}: {problem}")
     return statuses, faults

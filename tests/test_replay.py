@@ -4,6 +4,8 @@ then. Replay must leave every trace byte-equal to a fresh run of its plan."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from dexi import simulator
@@ -102,7 +104,22 @@ class TestTracesMatchFreshRuns:
         # Sequence numbers are trace positions, in a fresh and a replayed run.
         fresh = run_execution(app, entry, seed=SEED)
         for trace in [fresh] + [ex.trace for ex in report.executions]:
-            assert [e.sequence_number for e in trace.events] == list(range(len(trace.events)))
+            seqs = [json.loads(line)["seq"] for line in trace.to_json_lines()[1:]]
+            assert seqs == list(range(len(trace.events)))
+
+    def test_replay_appends_the_recorded_events(self, calls):
+        # Under the recording caller's task path a replay appends the
+        # recorded event objects themselves, so traces share them.
+        app, entry = build_nested(2, 2)
+        report = explore(app, entry, FaultCatalog.uniform(app), reduction_enabled=True,
+                         seed=SEED)
+        runs: dict[int, set[int]] = {}
+        for number, ex in enumerate(report.executions):
+            for event in ex.trace.events:
+                runs.setdefault(id(event), set()).add(number)
+        assert calls["replay"] > 0
+        assert any(len(numbers) > 1 for numbers in runs.values())
+        assert_traces_fresh(app, entry, report)
 
 
 class TestReplayBoundaries:

@@ -203,6 +203,20 @@ class TestCompleteness:
         assert violations
         assert any(v.kind == "missing-fault-point" for v in violations)
 
+    @pytest.mark.parametrize("kind", ["catalog-gap", "undiscovered-dei"])
+    def test_coverage_gap_reported(self, corpus, kind):
+        entry = corpus["cinema-3"]
+        catalog = FaultCatalog.uniform(entry.app)
+        report = explore(entry.app, entry.entry_request, catalog)
+        dei = min(report.discovered_deis, key=indexing.encode)
+        if kind == "catalog-gap":  # no faults declared for one reachable signature
+            catalog = FaultCatalog({sig: [FaultSpec()] for sig in catalog.signatures()
+                                    if sig.digest != dei.last.signature_digest})
+        else:
+            report.discovered_deis.discard(dei)
+        violations = completeness_check(report, catalog)
+        assert violations and {v.kind for v in violations} == {kind}
+
     def test_two_responses_of_one_fault_type_are_two_points(self):
         app = build_hello_world_app()
         entry = EntryRequest(service="hello", method="greet", args={"tags": ["a"]})
@@ -409,8 +423,8 @@ class TestIndexedReduction:
         dei = run_execution(app, entry).invocation_deis()[0]
         trace = ExecutionTrace(
             events=tuple(
-                RpcEvent("completion", seq, "a", "b", "get", dei=dei, outcome=outcome)
-                for seq, outcome in enumerate([{"value": "b[e:r1]"}, {"fault": "timeout"}])
+                RpcEvent("completion", "a", "b", "get", dei=dei, outcome=outcome)
+                for outcome in [{"value": "b[e:r1]"}, {"fault": "timeout"}]
             ),
             entry_request=entry, entry_outcome={"value": ""}, seed=0,
             scheduler_mode="virtual", config=FULL_CONFIG,

@@ -351,6 +351,8 @@ class TestControlFlow:
                 helpers=[{"name": "h", "params": [], "body": [{"op": "break"}]}],
             )
 
+    RECURSION = "RPC or helper call nesting exceeded the interpreter's recursion limit"
+
     @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
     def test_self_rpc_without_paths_stops_at_the_recursion_limit(self, scheduler):
         # No path means no index depth to bound the nesting; the
@@ -364,7 +366,18 @@ class TestControlFlow:
         with pytest.raises(DexiError) as raised:
             run_execution(app, entry, scheduler=scheduler,
                           config=config_from_label("no-path-count-stack"))
-        assert str(raised.value) == "RPC nesting exceeded the interpreter's recursion limit"
+        assert str(raised.value) == self.RECURSION
+
+    def test_self_calling_helper_stops_at_the_recursion_limit(self):
+        # A helper call adds no index entry, so no RPC depth bounds it.
+        call = {"op": "call", "helper": "h", "args": {}, "line": 2}
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [call]}],
+             "helpers": [{"name": "h", "params": [], "body": [call]}]},
+        ]})
+        with pytest.raises(DexiError) as raised:
+            run_execution(app, EntryRequest(service="a", method="go", args={}))
+        assert str(raised.value) == self.RECURSION
 
 
 class TestFailedBlockGarbage:
@@ -516,16 +529,14 @@ class TestSchedulers:
         entry = corpus["hello-world-concurrency"]
         a = run_execution(entry.app, entry.entry_request, seed=7)
         b = run_execution(entry.app, entry.entry_request, seed=7)
-        assert [e.to_json() for e in a.events] == [e.to_json() for e in b.events]
+        assert a.to_json_lines() == b.to_json_lines()
 
     def test_sequential_app_traces_seed_invariant(self, corpus):
         entry = corpus["cinema-3"]
         reference = run_execution(entry.app, entry.entry_request, seed=0)
         for seed in (1, 2, 3):
             other = run_execution(entry.app, entry.entry_request, seed=seed)
-            assert [e.to_json() for e in other.events] == [
-                e.to_json() for e in reference.events
-            ]
+            assert other.to_json_lines()[1:] == reference.to_json_lines()[1:]
 
     @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
     def test_nested_spawn_awaits_its_own_futures(self, scheduler):
@@ -738,6 +749,17 @@ class TestEntryValidation:
         with pytest.raises(ProgramError):
             run_execution(entry.app, EntryRequest(service="a", method="nope", args={}))
 
+    @pytest.mark.parametrize("callee,method,error", [
+        ("a", "nope", "service 'a' has no endpoint 'nope'"),
+        ("z", "get", "unknown service 'z'"),
+    ], ids=["endpoint", "service"])
+    def test_rpc_to_a_missing_target(self, callee, method, error):
+        # An app built from statement classes skips the parser's call-site
+        # checks; the RPC names its missing target when it runs.
+        app = spawn_app(Rpc(service=callee, method=method, args=(), line=2))
+        with pytest.raises(ProgramError, match=f"^{error}$"):
+            run_execution(app, EntryRequest(service="a", method="go", args={}))
+
     def test_wrong_args(self, corpus):
         entry = corpus["figure-3"]
         with pytest.raises(ProgramError):
@@ -888,11 +910,11 @@ class TestTraceCodecMemo:
             )
             trace = replace(base, events=events)
             assert trace.to_json_lines(encoded) == trace.to_json_lines(), value
-        # Loaded traces may hold any JSON value in `seq` and `task` too.
-        for seq in (1, 1.0, True) * 2:
-            events = tuple(e._replace(sequence_number=seq, lineage=(seq,)) for e in base.events)
+        # An event built in code may hold any value in `task` too.
+        for task in (1, 1.0, True) * 2:
+            events = tuple(e._replace(lineage=(task,)) for e in base.events)
             trace = replace(base, events=events)
-            assert trace.to_json_lines(encoded) == trace.to_json_lines(), seq
+            assert trace.to_json_lines(encoded) == trace.to_json_lines(), task
 
     def test_shared_encode_memo_matches_fresh_encodes(self, corpus):
         apps = [(e.name, e.app, e.entry_request) for e in corpus.values()]
