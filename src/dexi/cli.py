@@ -125,8 +125,10 @@ def _load_trace_file(
     path: Path,
     decoded: dict[str, DistributedExecutionIndex] | None = None,
     records: dict[str, RpcEvent] | None = None,
+    headers: dict[str, dict] | None = None,
 ) -> ExecutionTrace:
-    return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records)
+    return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records,
+                                          headers)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -136,9 +138,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     # Each wire text decodes once, and each distinct line parses once.
     decoded: dict[str, DistributedExecutionIndex] = {}
     records: dict[str, RpcEvent] = {}
+    headers: dict[str, dict] = {}
     for path in args.traces:
         try:
-            traces.append(_load_trace_file(Path(path), decoded, records))
+            traces.append(_load_trace_file(Path(path), decoded, records, headers))
         except (OSError, UnicodeDecodeError, DexiError) as exc:
             raise DexiError(f"{path}: {exc}") from None
     graph = reconstruct_graph(traces)

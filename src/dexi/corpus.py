@@ -8,11 +8,10 @@ to reproduce under named instantiation configs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .indexing import CONFIG_LABELS, DexiError
+from .indexing import CONFIG_LABELS, EMPTY_MAP, DexiError, Record
 from .programs import (Application, EntryRequest, parse_application, read_field,
                        read_positive)
 
@@ -21,12 +20,11 @@ class CorpusError(DexiError):
     """A corpus document is missing, malformed, or inconsistent."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     app: Application
     entry_request: EntryRequest
-    expected_counts: Mapping[str, int] = field(default_factory=dict)
+    expected_counts: Mapping[str, int] = EMPTY_MAP
     description: str = ""
 
 

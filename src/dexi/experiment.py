@@ -9,10 +9,8 @@ while the payload-inclusive index stays deterministic regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corpus import default_corpus_dir, load_entry
-from .indexing import DexiError
+from .indexing import DexiError, Record
 from .programs import Application, EntryRequest
 from .simulator import run_execution
 
@@ -28,14 +26,12 @@ def hello_world_entry(n_rpcs: int) -> EntryRequest:
     return EntryRequest(service="hello", method="greet", args={"tags": tags})
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
     matched_creation_order: bool
     dei_multiset: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NondeterminismResult:
+class NondeterminismResult(Record):
     n_rpcs: int
     pool_size: int
     iterations: tuple[IterationRecord, ...]

@@ -19,6 +19,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 DIGEST_BYTES = 8
@@ -31,6 +32,58 @@ PRELIMINARY_METADATA_KEY = "x-dexi-preliminary"
 
 class DexiError(Exception):
     """Base class for all errors raised by this package."""
+
+
+# The default of a map field: one shared map, which no record can change.
+EMPTY_MAP: Mapping[Any, Any] = MappingProxyType({})
+
+_NO_DEFAULT = object()
+
+
+class Record:
+    """A frozen value, equal to (and hashing as) another of its class with
+    equal fields. Its fields are its base's, then its own annotated names in
+    order, and its `__dict__` holds them and nothing else; a class attribute
+    is a field's default, shared by every record that takes it. A frozen
+    `@dataclass` compiles its methods for each class on import (about 0.6 ms
+    a class); a record compiles none, but builds more slowly, so classes
+    built per RPC or per plan stay dataclasses."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls.__match_args__ += tuple(name for name in own if name not in cls.__match_args__)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls, names, fields = type(self), self.__match_args__, self.__dict__
+        fields.update(zip(names, args))
+        for name in names[len(args):]:
+            value = kwargs.pop(name, getattr(cls, name, _NO_DEFAULT))
+            if value is _NO_DEFAULT:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            fields[name] = value
+        if len(args) > len(names) or kwargs:
+            raise TypeError(f"{cls.__name__}() takes the fields {names}; got {len(args)} "
+                            f"positional and the unknown or repeated {sorted(kwargs)}")
+
+    def _frozen(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 class CanonicalizationError(DexiError):
@@ -161,14 +214,20 @@ EMPTY_STACK = CallStackDigest()
 
 @dataclass(frozen=True)
 class InvocationSignature:
-    """Dynamic identity of an RPC invocation: signature, payload, call stack."""
+    """Dynamic identity of an RPC invocation: signature, payload, call stack.
+    Its digest triple, a key of counts and indexes, is built once."""
 
     signature: Signature
     payload: InvocationPayload
     callstack: CallStackDigest
+    _digests: tuple[str, str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_digests", (
+            self.signature.digest, self.payload.digest, self.callstack.digest))
 
     def digest_triple(self) -> tuple[str, str, str]:
-        return (self.signature.digest, self.payload.digest, self.callstack.digest)
+        return self._digests
 
     def render(self) -> str:
         return f"{self.signature.render()}({self.payload.render()})^{{{self.callstack.render()}}}"
@@ -280,8 +339,7 @@ class DistributedExecutionIndex:
 EMPTY_INDEX = DistributedExecutionIndex()
 
 
-@dataclass(frozen=True)
-class InstantiationConfig:
+class InstantiationConfig(Record):
     """Which identifier components a particular instantiation keeps.
 
     The all-true configuration is the full index. Masking the payload and the

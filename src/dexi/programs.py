@@ -9,10 +9,9 @@ carries a stable synthetic source line so identifiers are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .indexing import DexiError, Signature
+from .indexing import EMPTY_MAP, DexiError, Record, Signature
 
 
 class ProgramError(DexiError):
@@ -23,53 +22,43 @@ class ProgramError(DexiError):
 # Expressions
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: Any
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Concat(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Join(Expr):
     items: Expr
     sep: str = " "
 
 
-@dataclass(frozen=True)
 class ListExpr(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class First(Expr):
     items: Expr
 
 
-@dataclass(frozen=True)
 class IsSet(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     inner: Expr
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
     left: Expr
     right: Expr
@@ -79,24 +68,20 @@ class Eq(Expr):
 # Statements
 
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
     var: str
     value: Expr
 
 
-@dataclass(frozen=True)
 class Append(Stmt):
     list_var: str
     value: Expr
 
 
-@dataclass(frozen=True)
 class Rpc(Stmt):
     service: str
     method: str
@@ -105,7 +90,6 @@ class Rpc(Stmt):
     assign: str | None = None
 
 
-@dataclass(frozen=True)
 class CallHelper(Stmt):
     helper: str
     args: tuple[tuple[str, Expr], ...]
@@ -113,7 +97,6 @@ class CallHelper(Stmt):
     assign: str | None = None
 
 
-@dataclass(frozen=True)
 class Loop(Stmt):
     var: str
     items: Expr
@@ -121,35 +104,29 @@ class Loop(Stmt):
     line: int = 0
 
 
-@dataclass(frozen=True)
 class If(Stmt):
     cond: Expr
     then: tuple[Stmt, ...]
     orelse: tuple[Stmt, ...] = ()
 
 
-@dataclass(frozen=True)
 class Try(Stmt):
     body: tuple[Stmt, ...]
     catch: tuple[Stmt, ...] = ()
 
 
-@dataclass(frozen=True)
 class Break(Stmt):
     pass
 
 
-@dataclass(frozen=True)
 class Return(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
 class Raise(Stmt):
     message: str = "service-error"
 
 
-@dataclass(frozen=True)
 class Spawn(Stmt):
     """Schedule a concurrent block; its handle is appended to `futures`."""
 
@@ -158,7 +135,6 @@ class Spawn(Stmt):
     line: int = 0
 
 
-@dataclass(frozen=True)
 class AwaitAll(Stmt):
     """Wait for every handle in `futures`; results follow creation order."""
 
@@ -167,7 +143,6 @@ class AwaitAll(Stmt):
     assign: str | None = None
 
 
-@dataclass(frozen=True)
 class OpenStream(Stmt):
     service: str
     method: str
@@ -175,7 +150,6 @@ class OpenStream(Stmt):
     assign: str
 
 
-@dataclass(frozen=True)
 class StreamSend(Stmt):
     stream: str
     args: tuple[tuple[str, Expr], ...]
@@ -183,7 +157,6 @@ class StreamSend(Stmt):
     assign: str | None = None
 
 
-@dataclass(frozen=True)
 class CloseStream(Stmt):
     stream: str
 
@@ -192,40 +165,35 @@ class CloseStream(Stmt):
 # Services and applications
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(Record):
     method: str
     params: tuple[tuple[str, str], ...]
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class Helper:
+class Helper(Record):
     name: str
     params: tuple[str, ...]
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class ServiceProgram:
+class ServiceProgram(Record):
     name: str
     endpoints: Mapping[str, Endpoint]
-    helpers: Mapping[str, Helper] = field(default_factory=dict)
+    helpers: Mapping[str, Helper] = EMPTY_MAP
 
     @property
     def source_file(self) -> str:
         return f"{self.name}.py"
 
 
-@dataclass(frozen=True)
-class EntryRequest:
+class EntryRequest(Record):
     service: str
     method: str
     args: Mapping[str, Any]
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(Record):
     services: Mapping[str, ServiceProgram]
 
     def endpoint(self, service: str, method: str) -> Endpoint:

@@ -23,6 +23,7 @@ from .indexing import (
     DistributedExecutionIndex,
     FULL_CONFIG,
     InstantiationConfig,
+    Record,
     Signature,
     project,
     related,
@@ -316,8 +317,7 @@ def explore(
     return report
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str
     detail: str
 
@@ -392,15 +392,13 @@ def completeness_check(
     return violations
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
     source: str
     target: str
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ApplicationGraph:
+class ApplicationGraph(Record):
     nodes: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
 

@@ -346,30 +346,35 @@ class ExecutionTrace:
         lines: Iterable[str],
         decoded: dict[str, DistributedExecutionIndex] | None = None,
         records: dict[str, RpcEvent] | None = None,
+        headers: dict[str, dict[str, Any]] | None = None,
     ) -> ExecutionTrace:
-        """Rebuild a trace from the lines `to_json_lines` wrote.
-
-        A header without `config` loads as the full instantiation. Malformed
-        input raises `DexiError` naming the offending line. `decoded` maps
-        an index's wire text to the index it decoded to, and `records` maps
-        an event line's text to the event it built; both gain new entries.
-        Pass the same dicts to traces loaded together: a repeated line then
-        reuses its event, unparsed, and each wire text becomes one index
-        object, which the lookups of `reconstruct_graph` then match by
-        identity instead of by `__eq__`: that, not decode time, is what
-        `decoded` saves (README, "Trace files"). Only lines that built an
-        event are kept, so a malformed line fails in every trace that holds
-        it. Traces loaded so share their events, `payload` and `outcome`
-        included: do not mutate them.
+        """Rebuild a trace from the lines `to_json_lines` wrote: a header, on
+        the first line that is not blank, then events. A header without
+        `config` loads as the full instantiation. Malformed input raises
+        `DexiError` naming the offending line. `decoded` maps an index's wire
+        text to its index, `records` an event line to its event, and `headers`
+        a header line to its trace fields; all gain new entries. Pass the same
+        dicts to traces loaded together: a repeated line then reuses what it
+        built, unparsed, and each wire text becomes one index object, which
+        the lookups of `reconstruct_graph` then match by identity instead of
+        by `__eq__`: that, not decode time, is what `decoded` saves (README,
+        "Trace files"). Only lines that parsed are kept, so a malformed line
+        fails in every trace that holds it. Traces loaded so share their
+        events and header fields (`payload`, `outcome`, `entry.args`,
+        `entry_outcome`): do not mutate them.
         """
         decoded = {} if decoded is None else decoded
         records = {} if records is None else records
+        headers = {} if headers is None else headers
         header: dict[str, Any] | None = None
         events = []
         for number, line in enumerate(lines, 1):
-            event = records.get(line)
-            if event is not None:
-                events.append(event)
+            known = headers.get(line) if header is None else records.get(line)
+            if known is not None:
+                if header is None:
+                    header = known
+                else:
+                    events.append(known)
                 continue
             if not line.strip():
                 continue
@@ -380,11 +385,14 @@ class ExecutionTrace:
             try:
                 if not isinstance(doc, dict):
                     raise DexiError("record is not a JSON object")
-                if doc.get("kind") != "trace_header":
+                if (doc.get("kind") == "trace_header") != (header is None):
+                    raise DocumentError('kind: a trace has one "trace_header" record, '
+                                        "on its first line")
+                if header is None:
+                    header = headers[line] = _header(doc)
+                else:
                     event = records[line] = RpcEvent.from_json(doc, decoded)
                     events.append(event)
-                    continue
-                header = _header(doc)
             except DexiError as exc:
                 raise DexiError(f"line {number}: {exc}") from None
         if header is None:

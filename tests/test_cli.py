@@ -256,6 +256,54 @@ class TestGraph:
             f"error: {trace}: line {number}: {field}: expected a string, got {kind}"
         ]
 
+    @pytest.mark.parametrize("place", ["repeated", "at-the-end"])
+    def test_one_header_on_the_first_line(self, tmp_path, capsys, place):
+        assert run_cli(["explore", "--entry", "figure-2", "--out", tmp_path / "r.json",
+                        "--traces-out", tmp_path]) == 0
+        trace = tmp_path / "figure-2-0000.jsonl"
+        header, *events = trace.read_text().splitlines()
+        if place == "repeated":
+            lines, number = [header, header, *events], 2
+        else:
+            lines, number = [*events, header], 1
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["graph", trace]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f'error: {trace}: line {number}: kind: a trace has one "trace_header" record, '
+            "on its first line"
+        ]
+
+    def test_graph_parses_each_distinct_header_once(self, tmp_path, monkeypatch, capsys):
+        from dexi import simulator
+
+        traces_dir = tmp_path / "traces"
+        assert run_cli(["explore", "--entry", "cinema-10", "--out", tmp_path / "r.json",
+                        "--traces-out", traces_dir]) == 0
+        files = sorted(traces_dir.glob("*.jsonl"))
+        headers = {f.read_text().splitlines()[0] for f in files}
+        assert len(headers) < len(files)
+        parsed = []
+        header = simulator._header
+        monkeypatch.setattr(simulator, "_header", lambda doc: parsed.append(doc) or header(doc))
+        assert run_cli(["graph", *files, "--out", tmp_path / "g.json"]) == 0
+        assert len(parsed) == len(headers)
+        # A malformed header is never kept: it fails in every file that holds it.
+        bad = tmp_path / "bad.jsonl"
+        doc = json.loads(files[0].read_text().splitlines()[0])
+        doc["seed"] = "x"
+        bad.write_text(json.dumps(doc) + "\n")
+        memo: dict = {}
+        for _ in range(2):
+            with pytest.raises(DexiError, match="^line 1: seed: expected an integer"):
+                dexi.cli._load_trace_file(bad, headers=memo)
+        assert not memo
+        capsys.readouterr()
+        assert run_cli(["graph", *files, bad, bad]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: line 1: seed: expected an integer, got a string"
+        ]
+
 
 class TestUnwritablePaths:
     @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
