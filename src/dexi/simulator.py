@@ -248,6 +248,8 @@ def _decode(doc: Mapping[str, Any], key: str,
             dei = decoded[text] = indexing.decode(text)
         except indexing.DecodeError as exc:
             raise DocumentError(f"{key}: {exc}") from None
+    if not dei.entries:
+        raise DocumentError(f"{key}: empty index; every RPC's index has an entry")
     return dei
 
 
@@ -502,8 +504,8 @@ class VirtualScheduler:
 
 # Upper bound of the random delay before each RPC under the thread scheduler.
 # Awaited blocks reach the pool together, so the order in which workers wake
-# from this delay, not the interpreter lock, must decide arrival order: it is
-# a few times the interpreter time of one RPC (about 200 us).
+# from this delay, and take back the turn, must decide arrival order: it is
+# many times the interpreter time of one RPC (about 20-25 us).
 DISPATCH_JITTER_SECONDS = 500e-6
 
 
@@ -515,6 +517,10 @@ class ThreadScheduler:
     handlers. Blocks the entry handler awaits run together on the pool; a
     block awaited by another block runs inline on that block's worker, so a
     small pool can never deadlock on itself.
+
+    One task runs at a time, the one holding the turn, so execution code takes
+    no lock: the entry thread holds it until `close`, a worker while it runs a
+    block, and a task gives it up only in the dispatch delay and to wait.
     """
 
     mode = "threads"
@@ -525,19 +531,29 @@ class ThreadScheduler:
         self._executor = ThreadPoolExecutor(max_workers=pool_size)
         self._rng = random.SystemRandom()
         self._entry_thread = threading.get_ident()
-        # Guards each handle's claim; `_blocked` maps each thread waiting for
-        # a block that another thread runs to that block's handle.
-        self._turn = threading.Condition()
+        # `_blocked` maps each thread waiting for a block that another thread
+        # runs to that block's handle.
+        self._turn = threading.Condition(threading.Lock())
         self._blocked: dict[int, _TaskHandle] = {}
+        self._turn.acquire()
 
     def await_all(self, handles: list[_TaskHandle]) -> None:
         waiting = [h for h in handles if not h.done]
-        if threading.get_ident() == self._entry_thread:
-            for future in [self._executor.submit(self._finish, h) for h in waiting]:
-                future.result()
-        else:
+        if threading.get_ident() != self._entry_thread:
             for handle in waiting:
                 self._finish(handle)
+            return
+        futures = [self._executor.submit(self._run, h) for h in waiting]
+        self._turn.release()
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            self._turn.acquire()
+
+    def _run(self, handle: _TaskHandle) -> None:
+        with self._turn:
+            self._finish(handle)
 
     def _finish(self, handle: _TaskHandle) -> None:
         """Run the block, or wait for the thread that runs it. A block can be
@@ -545,28 +561,31 @@ class ThreadScheduler:
         waiting, follow the wait-for chain from the block's owner: if it comes
         back to this thread, no thread on it can ever go on."""
         me = threading.get_ident()
-        with self._turn:
-            while handle.owner not in (None, me) and not handle.done:
-                thread = handle.owner
-                while thread in self._blocked and not self._blocked[thread].done:
-                    thread = self._blocked[thread].owner
-                if thread == me:
-                    raise DexiError(_AWAIT_CYCLE)
-                self._blocked[me] = handle
-                self._turn.wait()
-                del self._blocked[me]
-            if handle.owner is None:
-                handle.owner = me
+        while handle.owner not in (None, me) and not handle.done:
+            thread = handle.owner
+            while thread in self._blocked and not self._blocked[thread].done:
+                thread = self._blocked[thread].owner
+            if thread == me:
+                raise DexiError(_AWAIT_CYCLE)
+            self._blocked[me] = handle
+            self._turn.wait()
+            del self._blocked[me]
+        if handle.owner is None:
+            handle.owner = me
         try:
             handle.finish()
         finally:
-            with self._turn:
-                self._turn.notify_all()
+            self._turn.notify_all()
 
     def pre_dispatch(self) -> None:
-        time.sleep(self._rng.uniform(0.0, DISPATCH_JITTER_SECONDS))
+        self._turn.release()
+        try:
+            time.sleep(self._rng.uniform(0.0, DISPATCH_JITTER_SECONDS))
+        finally:
+            self._turn.acquire()
 
     def close(self) -> None:
+        self._turn.release()  # first: a worker still running needs the turn
         self._executor.shutdown(wait=True)
 
 
@@ -584,8 +603,7 @@ def _make_scheduler(mode: str, seed: int, pool_size: int) -> VirtualScheduler | 
 
 class _Stream:
     """A client stream. Its preliminary `base` index (caller path and masked
-    signature) is the counter key its messages are numbered at. The
-    execution's lock guards its mutable fields."""
+    signature) is the counter key its messages are numbered at."""
 
     def __init__(self, callee: str, method: str, base: DistributedExecutionIndex) -> None:
         self.callee = callee
@@ -752,19 +770,15 @@ class _Execution:
         # them: under the full instantiation, and without real threads.
         self.subtrees = (identities.subtrees
                          if identities.config.is_full and scheduler.mode == "virtual" else None)
-        self._lock = threading.Lock()
         self._steps = 0
 
     # -- bookkeeping
 
     def step(self, steps: int = 1) -> None:
         """Charge `steps` statements to the budget; a replay charges all of its."""
-        with self._lock:
-            self._steps += steps
-            if self._steps > self.budget:
-                raise StepBudgetExceededError(
-                    f"execution exceeded its step budget of {self.budget}"
-                )
+        self._steps += steps
+        if self._steps > self.budget:
+            raise StepBudgetExceededError(f"execution exceeded its step budget of {self.budget}")
 
     def record(self, kind: str, caller: str, callee: str, method: str,
                dei: DistributedExecutionIndex | None = None,
@@ -772,13 +786,8 @@ class _Execution:
                payload: tuple[tuple[str, Any], ...] | None = None,
                outcome: dict[str, Any] | None = None,
                lineage: tuple[int, ...] = ()) -> None:
-        with self._lock:
-            self.events.append(RpcEvent._make((kind, caller, callee, method,
-                                               dei, preliminary_dei, payload, outcome, lineage)))
-
-    def warn(self, message: str) -> None:
-        with self._lock:
-            self.warnings.append(message)  # repeats included; traces keep the first
+        self.events.append(RpcEvent._make((kind, caller, callee, method,
+                                           dei, preliminary_dei, payload, outcome, lineage)))
 
     # -- index assignment
 
@@ -800,10 +809,9 @@ class _Execution:
         if config.include_count or preliminary:
             count, raced = self.counter.claim(id_path, id_inv, ctx.lineage)
             if raced and not preliminary:
-                self.warn(
+                self.warnings.append(
                     "detected-ambiguity: concurrent RPCs share signature, stack, and "
-                    f"payload at {id_inv.render()}; counts may permute across executions"
-                )
+                    f"payload at {id_inv.render()}; counts may permute across executions")
         if not config.include_count:
             count = 1
         dei = self.identities.index(id_path, id_inv, count, preliminary)
@@ -814,15 +822,14 @@ class _Execution:
     def _claim(self, dei: DistributedExecutionIndex) -> None:
         """Add `dei` to the trace's indexes: a second RPC with it is a
         duplicate under the full instantiation, and a warning otherwise."""
-        with self._lock:
-            if dei not in self.assigned:
-                self.assigned.add(dei)
-                return
+        if dei not in self.assigned:
+            self.assigned.add(dei)
+            return
         # Rewrites are injective under the full instantiation, so this sees
         # every duplicate the trace would show.
         if self.identities.config.is_full:
             raise DexiError(f"duplicate full index within one trace: {dei.render()}")
-        self.warn(f"identifier collision under the active instantiation: {dei.render()}")
+        self.warnings.append(f"identifier collision under the active instantiation: {dei.render()}")
 
     # -- RPC dispatch
 
@@ -974,12 +981,12 @@ class _Execution:
         base_path, base = stream.base.prefix(), stream.base.last
         # Bases and messages at one key all draw from this counter, so no
         # two messages share a preliminary index and none equals a final one.
-        # Claim and append are one step: the rewrite log stays in count order.
-        with self._lock:
-            count, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
-            implicit = self.identities.index(base_path, base.detail, count, preliminary=True)
-            stream.pairs.append((implicit, final))
-            self.rewrites[implicit] = final
+        # No task switch falls between the claim and the append, so the
+        # rewrite log stays in count order.
+        count, _ = self.counter.claim(base_path, base.detail, ctx.lineage)
+        implicit = self.identities.index(base_path, base.detail, count, preliminary=True)
+        stream.pairs.append((implicit, final))
+        self.rewrites[implicit] = final
         return implicit
 
     def open_stream(self, ctx: _HandlerCtx, callee: str, method: str,
@@ -999,28 +1006,20 @@ class _Execution:
         args: dict[str, Any],
         frames: tuple[tuple[str, str], ...],
     ) -> Any:
-        with self._lock:
-            if not stream.open:
-                raise StreamStateError(
-                    f"send on closed stream to {stream.callee}.{stream.method}"
-                )
-            stream.in_flight += 1
+        if not stream.open:
+            raise StreamStateError(f"send on closed stream to {stream.callee}.{stream.method}")
+        stream.in_flight += 1
         try:
             return self.invoke_rpc(ctx, stream.callee, stream.method, args, frames, stream)
         finally:
-            with self._lock:
-                stream.in_flight -= 1
+            stream.in_flight -= 1
 
     def finalize_stream(self, stream: _Stream) -> None:
-        with self._lock:
-            if stream.in_flight:
-                raise StreamStateError(
-                    f"stream to {stream.callee}.{stream.method} finalized with "
-                    f"{stream.in_flight} send(s) outstanding"
-                )
-            stream.open = False
-            pairs = list(stream.pairs)
-        for implicit, final in pairs:
+        if stream.in_flight:
+            raise StreamStateError(f"stream to {stream.callee}.{stream.method} finalized "
+                                   f"with {stream.in_flight} send(s) outstanding")
+        stream.open = False
+        for implicit, final in stream.pairs:
             self.record("index_rewritten", "", stream.callee, stream.method, final, implicit)
 
 

@@ -221,9 +221,10 @@ class TestGraph:
              "line 1: config.include_payload: expected a bool, got a string"),
             (HEADER + ', "warnings": "ab"}\n', "line 1: warnings: expected a list, got a string"),
             (HEADER + ', "seed": "x"}\n', "line 1: seed: expected an integer, got a string"),
+            (HEADER + '}\n{"kind": "invocation", "seq": 0, "dei": "[]"}\n', "line 2: dei: "),
         ],
         ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep",
-             "config-value-str", "warnings-str", "seed-str"],
+             "config-value-str", "warnings-str", "seed-str", "empty-dei"],
     )
     def test_undecodable_trace_rejected(self, tmp_path, capsys, text, error):
         bad = tmp_path / "bad.jsonl"

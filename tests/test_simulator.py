@@ -617,6 +617,38 @@ class TestSchedulers:
         assert len(traces[0].invocation_events()) == 1
         assert traces[0].entry_outcome == {"value": [["x"]] * 3}
 
+    def test_one_task_runs_execution_code_at_a_time(self, monkeypatch):
+        # Under threads the task that holds the scheduler's turn is the only
+        # one inside execution code: `record` never has two callers at once,
+        # even with the interpreter switching threads as often as it can.
+        record, guard, inside, most = simulator._Execution.record, threading.Lock(), [0], [0]
+
+        def counted(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            try:
+                return record(*args, **kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(simulator._Execution, "record", counted)
+        app, entry = build_hello_world_app(), hello_world_entry(16)
+        traces = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: traces.extend(
+                run_execution(app, entry, scheduler="threads", pool_size=4)
+                for _ in range(20)), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(traces) == 20
+        assert most[0] == 1
+
     def test_unknown_scheduler_rejected(self, corpus):
         entry = corpus["figure-2"]
         from dexi.indexing import DexiError
@@ -734,8 +766,12 @@ class TestBudget:
         statements = 1 + 3 + 1 + 1 + 3 * 2 + 3
         trace = run_execution(app, entry, scheduler=scheduler, budget=statements)
         assert "value" in trace.entry_outcome
-        with pytest.raises(StepBudgetExceededError):
-            run_execution(app, entry, scheduler=scheduler, budget=statements - 1)
+        # Every smaller budget runs out: in the entry handler, in a block or
+        # in a callee. Under threads a block's error must give up the turn,
+        # or the run would hang instead of raising.
+        for budget in range(1, statements):
+            with pytest.raises(StepBudgetExceededError):
+                run_execution(app, entry, scheduler=scheduler, budget=budget)
 
 
 class TestEntryValidation:
