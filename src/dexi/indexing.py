@@ -46,8 +46,9 @@ class Record:
     order, and its `__dict__` holds them and nothing else; a class attribute
     is a field's default, shared by every record that takes it. A frozen
     `@dataclass` compiles its methods for each class on import (about 0.6 ms
-    a class); a record compiles none, but builds more slowly, so classes
-    built per RPC or per plan stay dataclasses."""
+    a class); a record compiles none, but builds more slowly. Load-time values
+    and `FaultSpec` are records, per-execution and per-plan values named
+    tuples or plain classes, and only the index types are dataclasses."""
 
     __match_args__: tuple[str, ...] = ()
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import indexing
 from .indexing import (
@@ -79,10 +78,10 @@ class FaultCatalog:
         return list(self._faults)
 
 
-@dataclass(frozen=True)
 class ExecutedPlan:
-    plan: FaultPlan
-    trace: ExecutionTrace
+    def __init__(self, plan: FaultPlan, trace: ExecutionTrace) -> None:
+        self.plan = plan
+        self.trace = trace
 
     @cached_property
     def surfaces(self) -> dict[DistributedExecutionIndex | None, dict[str, Any] | None]:
@@ -100,32 +99,25 @@ class ExecutedPlan:
         return surfaces
 
 
-@dataclass(frozen=True)
-class PrunedPlan:
+class PrunedPlan(NamedTuple):
     plan: FaultPlan
     reason: str
 
 
-@dataclass
 class SearchReport:
     """Everything one exploration produced."""
 
-    config: InstantiationConfig
-    reduction_enabled: bool
-    executions: list[ExecutedPlan] = field(default_factory=list)
-    pruned: list[PrunedPlan] = field(default_factory=list)
-    discovered_deis: set[DistributedExecutionIndex] = field(default_factory=set)
-    # Indexes over `executions` for dynamic reduction, brought up to date by
-    # `_index_executions`.
-    _by_plan_key: dict[frozenset, ExecutedPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _nested_surfaces: dict[tuple, dict[str, Any]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _indexed: tuple[list[ExecutedPlan] | None, int] = field(
-        default=(None, 0), init=False, repr=False, compare=False
-    )
+    def __init__(self, config: InstantiationConfig, reduction_enabled: bool) -> None:
+        self.config = config
+        self.reduction_enabled = reduction_enabled
+        self.executions: list[ExecutedPlan] = []
+        self.pruned: list[PrunedPlan] = []
+        self.discovered_deis: set[DistributedExecutionIndex] = set()
+        # Indexes over `executions` for dynamic reduction, brought up to date
+        # by `_index_executions`.
+        self._by_plan_key: dict[frozenset, ExecutedPlan] = {}
+        self._nested_surfaces: dict[tuple, dict[str, Any]] = {}
+        self._indexed: tuple[list[ExecutedPlan] | None, int] = (None, 0)
 
     def _index_executions(self) -> None:
         """Index the executions appended since the last call.
@@ -200,8 +192,7 @@ def _plan_json(plan: FaultPlan) -> list[dict[str, Any]]:
 _SURFACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ReductionDecision:
+class ReductionDecision(NamedTuple):
     prune: bool
     reason: str = ""
 
@@ -343,7 +334,7 @@ def completeness_check(
     injected: set[tuple] = set()
     for ex in report.executions:
         for event in ex.trace.events:
-            if event.kind == "fault_injected" and event.dei is not None:
+            if event.kind == "fault_injected":
                 injected.add(fault_point(event.dei, ex.plan.match(event.dei)))
     pruned_points = {point for pruned in report.pruned for point in pruned.plan.key()}
     for dei in report.discovered_deis:
@@ -429,20 +420,14 @@ def reconstruct_graph(traces: Iterable[ExecutionTrace]) -> ApplicationGraph:
     for trace in traces:
         nodes.add(trace.entry_request.service)
         for event in trace.invocation_events():
-            if event.dei is None:
-                continue
             target_of[event.dei] = event.callee
             observations.append((event.dei, trace.entry_request.service))
             nodes.add(event.callee)
     edges: dict[tuple[str, str], set[str]] = {}
     for dei, entry_service in observations:
-        prefix = dei.prefix()
-        if len(prefix) == 0:
-            source = entry_service
-        else:
-            source = target_of.get(prefix, entry_service)
-        target = target_of[dei]
-        edges.setdefault((source, target), set()).add(indexing.encode(dei))
+        # No RPC has the empty index: a top-level RPC's source is the entry service.
+        source = target_of.get(dei.prefix(), entry_service)
+        edges.setdefault((source, target_of[dei]), set()).add(indexing.encode(dei))
     return ApplicationGraph(
         nodes=tuple(sorted(nodes)),
         edges=tuple(

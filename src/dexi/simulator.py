@@ -21,7 +21,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import indexing
@@ -39,6 +39,7 @@ from .indexing import (
     InstantiationConfig,
     InvocationPayload,
     InvocationSignature,
+    Record,
     dei_extend,
     mask_invocation_signature,
 )
@@ -103,8 +104,7 @@ class MetadataError(DexiError):
     """Incoming RPC metadata could not be decoded."""
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """A fault to inject: a raised error, or a shaped response value."""
 
     fault_type: str = CONNECTION_ERROR
@@ -223,7 +223,7 @@ class RpcEvent(NamedTuple):
         payload = read_field(doc, "payload", dict, "", None)
         task = read_field(doc, "task", list, "", [])
         read_field(doc, "seq", int)
-        return cls(
+        event = cls(
             kind=read_field(doc, "kind", str),
             caller=read_field(doc, "caller", str, "", ""),
             callee=read_field(doc, "callee", str, "", ""),
@@ -234,6 +234,18 @@ class RpcEvent(NamedTuple):
             outcome=read_field(doc, "outcome", dict, "", None),
             lineage=tuple(read_field(task, i, int, "task") for i in range(len(task))),
         )
+        if event.kind not in _INDEXES_OF_KIND:
+            raise DocumentError(f"kind: unknown event kind {event.kind!r}")
+        for key in _INDEXES_OF_KIND[event.kind]:
+            if getattr(event, key) is None:
+                raise DocumentError(f"{key}: missing")
+        return event
+
+
+# The indexes the record of each kind of event must hold.
+_INDEXES_OF_KIND = {"invocation": ("dei",), "fault_injected": ("dei",), "completion": ("dei",),
+                    "stream_opened": ("preliminary_dei",),
+                    "index_rewritten": ("dei", "preliminary_dei")}
 
 
 def _decode(doc: Mapping[str, Any], key: str,
@@ -286,9 +298,8 @@ def _record_key(seq: int, event: RpcEvent) -> tuple | None:
 _TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
-    """Finalized record of one test execution."""
+class ExecutionTrace(NamedTuple):
+    """Finalized record of one test execution; `_replace` copies it."""
 
     events: tuple[RpcEvent, ...]
     entry_request: EntryRequest
@@ -302,7 +313,7 @@ class ExecutionTrace:
         return [e for e in self.events if e.kind == "invocation"]
 
     def invocation_deis(self) -> list[DistributedExecutionIndex]:
-        return [e.dei for e in self.invocation_events() if e.dei is not None]
+        return [e.dei for e in self.invocation_events()]
 
     def dei_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(indexing.encode(d) for d in self.invocation_deis()))
@@ -706,14 +717,20 @@ class IdentityTable:
         return path
 
 
-def _check_crossable(value: Any, what: str) -> None:
-    """Raise if `value` holds a futures list or a stream, which have no wire form."""
+def _check_crossable(value: Any, what: str, cannot: str = "cross an RPC boundary") -> None:
+    """Raise if `value` holds a futures list or a stream: neither has a wire form or text."""
     if isinstance(value, list):
         for item in value:
-            _check_crossable(item, what)
+            _check_crossable(item, what, cannot)
     elif isinstance(value, (_TaskHandle, _Stream)):
         kind = "stream" if isinstance(value, _Stream) else "futures list"
-        raise CanonicalizationError(f"{what} a {kind}, which cannot cross an RPC boundary")
+        raise CanonicalizationError(f"{what} a {kind}, which cannot {cannot}")
+
+
+def _text(value: Any, what: str) -> str:
+    """The text of a `concat` part or `join` item that is not a `str`."""
+    _check_crossable(value, what, "become text")
+    return str(value)
 
 
 class _HandlerCtx:
@@ -1121,19 +1138,19 @@ class _Compiler:
                  helpers: dict[str, Callable]) -> None:
         self.service = service
         self.symbol = symbol
+        self.where = f"{service.name}.{symbol}"
         self.helpers = helpers
 
     def callable(self, body: tuple[Stmt, ...]) -> Callable:
         """A handler's, helper's or spawned block's body, run to its value."""
         run_body = self.body(body)
-        where = f"{self.service.name}.{self.symbol}"
 
         def run(ex, ctx):
             result = run_body(ex, ctx)
             if result is _NEXT:
                 return None
             if result is _BREAK:
-                raise ProgramError(f"break outside a loop in {where}")
+                raise ProgramError(f"break outside a loop in {self.where}")
             return result
 
         return run
@@ -1282,10 +1299,13 @@ class _Compiler:
                 return var
             case Concat(parts=parts):
                 parts = tuple(self.expr(part) for part in parts)
-                return lambda ctx: "".join([str(part(ctx)) for part in parts])
+                what = f"concat in {self.where} holds"
+                return lambda ctx: "".join([text if type(text := part(ctx)) is str
+                                            else _text(text, what) for part in parts])
             case Join(items=items, sep=sep):
-                items = self.expr(items)
-                return lambda ctx: sep.join([str(item) for item in _as_list(items(ctx))])
+                items, what = self.expr(items), f"join in {self.where} holds"
+                return lambda ctx: sep.join([item if type(item) is str else _text(item, what)
+                                             for item in _as_list(items(ctx))])
             case ListExpr(items=items):
                 items = tuple(self.expr(item) for item in items)
                 return lambda ctx: [item(ctx) for item in items]
@@ -1323,16 +1343,14 @@ def _apply_rewrites(
     dei: DistributedExecutionIndex,
     rewrites: Mapping[DistributedExecutionIndex, DistributedExecutionIndex],
 ) -> DistributedExecutionIndex:
-    """Replace the longest prefix of `dei` that is a queued implicit index by
-    its final index. Finals are stored resolved, so one lookup suffices.
+    """Replace the longest strict prefix of `dei` that is a queued implicit
+    index by its final index. Finals are stored resolved, so one lookup
+    suffices; `dei` is never a queued index (README, "Wire format").
 
     Every prefix is looked up, not only those ending in a preliminary entry:
     the wire marks only a path's last entry, so two hops below a stream
-    message the queued prefix arrives unmarked. `dei` itself needs no copy.
+    message the queued prefix arrives unmarked.
     """
-    replacement = rewrites.get(dei)
-    if replacement is not None:
-        return replacement
     entries = dei.entries
     for length in range(len(entries) - 1, 0, -1):
         replacement = rewrites.get(DistributedExecutionIndex(entries[:length]))
@@ -1414,12 +1432,5 @@ def run_execution(
                         "recursion limit") from None
     finally:
         sched.close()
-    return ExecutionTrace(
-        events=tuple(execution.events),
-        entry_request=entry,
-        entry_outcome=outcome,
-        seed=seed,
-        scheduler_mode=sched.mode,
-        config=identities.config,
-        warnings=tuple(dict.fromkeys(execution.warnings)),
-    )
+    return ExecutionTrace(tuple(execution.events), entry, outcome, seed, sched.mode,
+                          identities.config, tuple(dict.fromkeys(execution.warnings)))

@@ -222,9 +222,13 @@ class TestGraph:
             (HEADER + ', "warnings": "ab"}\n', "line 1: warnings: expected a list, got a string"),
             (HEADER + ', "seed": "x"}\n', "line 1: seed: expected an integer, got a string"),
             (HEADER + '}\n{"kind": "invocation", "seq": 0, "dei": "[]"}\n', "line 2: dei: "),
+            (HEADER + '}\n{"kind": "bogus", "seq": 0}\n', "line 2: kind: "),
+            (HEADER + '}\n{"kind": "invocation", "seq": 0, "caller": "a", "callee": "b", '
+                      '"method": "m"}\n', "line 2: dei: missing"),
         ],
         ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep",
-             "config-value-str", "warnings-str", "seed-str", "empty-dei"],
+             "config-value-str", "warnings-str", "seed-str", "empty-dei", "unknown-kind",
+             "invocation-without-dei"],
     )
     def test_undecodable_trace_rejected(self, tmp_path, capsys, text, error):
         bad = tmp_path / "bad.jsonl"

@@ -7,10 +7,13 @@ generated methods, which are what it saves on import.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
-from dexi import corpus, experiment, indexing, programs, search
+import dexi
+from dexi import corpus, experiment, indexing, programs, search, simulator
 from dexi.corpus import CorpusEntry
 from dexi.indexing import InstantiationConfig, Record
 from dexi.programs import (Application, Break, Const, EntryRequest, IsSet, Rpc,
@@ -25,6 +28,7 @@ RECORDS = {
                "Application"],
     indexing: ["InstantiationConfig"],
     search: ["Violation", "GraphEdge", "ApplicationGraph"],
+    simulator: ["FaultSpec"],
     experiment: ["IterationRecord", "NondeterminismResult"],
     corpus: ["CorpusEntry"],
 }
@@ -44,6 +48,21 @@ def test_records_generate_no_methods():
     own = {f"{cls.__module__}.{cls.__qualname__}.{name}"
            for cls in _subclasses(Record) for name in GENERATED if name in cls.__dict__}
     assert not own, "a record class defines its own methods; is it a @dataclass again?"
+
+
+# The only dataclasses: their derived fields take no part in equality.
+INDEX_TYPES = {"Signature", "InvocationPayload", "CallStackDigest", "InvocationSignature",
+               "IndexEntry", "DistributedExecutionIndex"}
+
+
+def test_only_the_index_types_are_dataclasses():
+    modules = [dexi] + [importlib.import_module(f"dexi.{info.name}")
+                        for info in pkgutil.iter_modules(dexi.__path__)]
+    classes = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__module__.startswith("dexi")}
+    assert {f"{cls.__module__}.{cls.__qualname__}"
+            for cls in classes if dataclasses.is_dataclass(cls)} == {
+        f"dexi.indexing.{name}" for name in INDEX_TYPES}
 
 
 class TestConstruction:

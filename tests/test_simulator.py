@@ -7,7 +7,6 @@ import gc
 import json
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,7 @@ from dexi import indexing, simulator
 from dexi.experiment import build_hello_world_app, hello_world_entry
 from dexi.indexing import (
     ArityMismatchError,
+    CanonicalizationError,
     DexiError,
     EMPTY_INDEX,
     config_from_label,
@@ -367,6 +367,35 @@ class TestControlFlow:
             run_execution(app, entry, scheduler=scheduler,
                           config=config_from_label("no-path-count-stack"))
         assert str(raised.value) == self.RECURSION
+
+    @pytest.mark.parametrize("scheduler", ["virtual", "threads"])
+    @pytest.mark.parametrize("value,error", [
+        ({"concat": [{"var": "fs"}, {"var": "st"}]},
+         "concat in a.go holds a futures list, which cannot become text"),
+        ({"concat": [{"const": "x"}, {"var": "st"}]},
+         "concat in a.go holds a stream, which cannot become text"),
+        ({"join": {"list": {"list": [{"const": "x"}, {"var": "st"}]}}},
+         "join in a.go holds a stream, which cannot become text"),
+        ({"join": {"list": {"list": [{"var": "fs"}]}}},
+         "join in a.go holds a futures list, which cannot become text"),
+    ], ids=["concat-futures", "concat-stream", "join-stream", "join-futures"])
+    def test_text_of_a_futures_list_or_stream_is_an_error(self, scheduler, value, error):
+        # Their `str()` holds a memory address, which would change the
+        # outcome, and as an argument the index, from run to run.
+        app = parse_application({"services": [
+            {"name": "a", "endpoints": [{"method": "go", "params": [], "body": [
+                {"op": "spawn", "futures": "fs", "line": 2, "body": []},
+                {"op": "open_stream", "service": "b", "method": "get", "line": 3,
+                 "assign": "st"},
+                {"op": "return", "value": value},
+            ]}]},
+            {"name": "b", "endpoints": [{"method": "get", "params": [], "body": []}]},
+        ]})
+        entry = EntryRequest(service="a", method="go", args={})
+        for _ in range(2):
+            with pytest.raises(CanonicalizationError) as raised:
+                run_execution(app, entry, scheduler=scheduler)
+            assert str(raised.value) == error
 
     def test_self_calling_helper_stops_at_the_recursion_limit(self):
         # A helper call adds no index entry, so no RPC depth bounds it.
@@ -944,12 +973,12 @@ class TestTraceCodecMemo:
                 e._replace(payload=(("s", value),), outcome={"value": value})
                 for e in base.events
             )
-            trace = replace(base, events=events)
+            trace = base._replace(events=events)
             assert trace.to_json_lines(encoded) == trace.to_json_lines(), value
         # An event built in code may hold any value in `task` too.
         for task in (1, 1.0, True) * 2:
             events = tuple(e._replace(lineage=(task,)) for e in base.events)
-            trace = replace(base, events=events)
+            trace = base._replace(events=events)
             assert trace.to_json_lines(encoded) == trace.to_json_lines(), task
 
     def test_shared_encode_memo_matches_fresh_encodes(self, corpus):
