@@ -124,7 +124,7 @@ def cmd_nondeterminism(args: argparse.Namespace) -> int:
 def _load_trace_file(
     path: Path,
     decoded: dict[str, DistributedExecutionIndex] | None = None,
-    records: dict[str, RpcEvent] | None = None,
+    records: dict[str, tuple[int, RpcEvent]] | None = None,
     headers: dict[str, dict] | None = None,
 ) -> ExecutionTrace:
     return ExecutionTrace.from_json_lines(path.read_text().splitlines(), decoded, records,
@@ -137,7 +137,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     traces = []
     # Each wire text decodes once, and each distinct line parses once.
     decoded: dict[str, DistributedExecutionIndex] = {}
-    records: dict[str, RpcEvent] = {}
+    records: dict[str, tuple[int, RpcEvent]] = {}
     headers: dict[str, dict] = {}
     for path in args.traces:
         try:

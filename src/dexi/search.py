@@ -116,7 +116,7 @@ class SearchReport:
         # Indexes over `executions` for dynamic reduction, brought up to date
         # by `_index_executions`.
         self._by_plan_key: dict[frozenset, ExecutedPlan] = {}
-        self._nested_surfaces: dict[tuple, dict[str, Any]] = {}
+        self._nested_surfaces: dict[tuple, tuple[dict[str, Any], tuple | None]] = {}
         self._indexed: tuple[list[ExecutedPlan] | None, int] = (None, 0)
 
     def _index_executions(self) -> None:
@@ -125,9 +125,10 @@ class SearchReport:
         `_by_plan_key` maps a plan key to its (last) execution. For each
         nested `fault_point`, `_nested_surfaces` keeps the enclosing RPC's
         surface from the first execution, in history order, that injects
-        that fault there and whose trace shows a surface. A
-        history that was replaced or shortened since the last call is
-        indexed again from the start.
+        that fault there and whose trace shows a surface, with the point of
+        that surface's fault on the enclosing RPC (None when the surface
+        shows no fault). A history that was replaced or shortened since the
+        last call is indexed again from the start.
         """
         indexed_list, start = self._indexed
         if indexed_list is not self.executions or start > len(self.executions):
@@ -141,9 +142,12 @@ class SearchReport:
                     continue
                 point = fault_point(dei, spec)
                 if point not in self._nested_surfaces:
-                    surface = ex.surfaces.get(dei.prefix())
+                    enclosing = dei.prefix()
+                    surface = ex.surfaces.get(enclosing)
                     if surface is not None:
-                        self._nested_surfaces[point] = surface
+                        swapped = (fault_point(enclosing, FaultSpec(surface["fault"]))
+                                   if "fault" in surface else None)
+                        self._nested_surfaces[point] = (surface, swapped)
         self._indexed = (self.executions, len(self.executions))
 
     @property
@@ -217,16 +221,15 @@ def dynamic_reduction(candidate: FaultPlan, history: SearchReport) -> ReductionD
         if len(dei) < 2:
             continue
         point = fault_point(dei, spec)
-        surface = history._nested_surfaces.get(point)
-        if surface is None or "fault" not in surface:
+        surface, swapped = history._nested_surfaces.get(point, (None, None))
+        if swapped is None:
             # The enclosing RPC absorbed the nested failure (or was never
             # observed); its surface cannot match an injected fault, so keep.
             continue
-        enclosing = dei.prefix()
+        enclosing = swapped[0]
         # The sibling swaps this fault for the surface's fault on the
         # enclosing RPC; only its key is looked up, so none is built.
-        sibling = (candidate.key() - {point}
-                   | {fault_point(enclosing, FaultSpec(surface["fault"]))})
+        sibling = candidate.key() - {point} | {swapped}
         previous = history._by_plan_key.get(sibling)
         if previous is None:
             continue
@@ -285,13 +288,15 @@ def explore(
         # identical across schedules.
         injected = [(seq, e.lineage) for seq, e in enumerate(trace.events)
                     if e.kind == "fault_injected"]
+        last = injected[-1][0] if injected else 0
         for seq, event in enumerate(trace.events):
             if event.kind != "invocation":
                 continue
             report.discovered_deis.add(event.dei)
             if event.dei in plan:
                 continue
-            if any(seq < at and related(event.lineage, task) for at, task in injected):
+            if seq < last and any(seq < at and related(event.lineage, task)
+                                  for at, task in injected):
                 continue
             faults = catalog.faults_for_digest(
                 event.dei.last.signature_digest,
@@ -304,7 +309,7 @@ def explore(
                     seen.add(key)
                     extended = dict(plan.items())
                     extended[event.dei] = spec
-                    worklist.append(FaultPlan(extended))
+                    worklist.append(FaultPlan(extended, _key=key))
     return report
 
 

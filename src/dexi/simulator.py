@@ -130,14 +130,17 @@ class FaultPlan:
     """The set of (index -> fault) injections applied during one execution.
 
     A plain value: `run_execution` checks its keys against the instantiation
-    the execution runs under.
+    the execution runs under. `_key` is private to `explore`, which passes
+    the key that `extended_key` already gave the injections.
     """
 
     def __init__(
-        self, injections: Mapping[DistributedExecutionIndex, FaultSpec] | None = None
+        self, injections: Mapping[DistributedExecutionIndex, FaultSpec] | None = None,
+        *, _key: frozenset | None = None,
     ) -> None:
         self._faults = dict(injections or {})
-        self._key = frozenset(fault_point(dei, spec) for dei, spec in self._faults.items())
+        self._key = (frozenset(fault_point(dei, spec) for dei, spec in self._faults.items())
+                     if _key is None else _key)
 
     def __len__(self) -> int:
         return len(self._faults)
@@ -180,7 +183,9 @@ class RpcEvent(NamedTuple):
     are causally ordered only when one lineage prefixes the other. A tuple,
     because a search report keeps every event of every execution and an
     execution records one or two per RPC: it is built in one step, where a
-    frozen dataclass sets each field apart.
+    frozen dataclass sets each field apart. The executions of one
+    exploration share equal events (`IdentityTable.events`), `payload` and
+    `outcome` included, so an event must not be mutated.
     """
 
     kind: str  # invocation | fault_injected | completion | stream_opened | index_rewritten
@@ -215,28 +220,33 @@ class RpcEvent(NamedTuple):
 
     @classmethod
     def from_json(
-        cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex]
+        cls, doc: Mapping[str, Any], decoded: dict[str, DistributedExecutionIndex],
+        position: int,
     ) -> RpcEvent:
-        """Rebuild an event from its `to_json` record. `decoded` maps wire
-        text to the index it was decoded to, and gains new ones. `seq` must be
-        an integer, and is dropped: an event's position is its sequence number."""
+        """Rebuild the event at `position` of its trace from its `to_json`
+        record. `decoded` maps wire text to the index it was decoded to, and
+        gains new ones. `seq` must be `position`, and is dropped: an event's
+        position is its sequence number."""
         payload = read_field(doc, "payload", dict, "", None)
         task = read_field(doc, "task", list, "", [])
-        read_field(doc, "seq", int)
+        seq = read_field(doc, "seq", int)
+        if seq != position:
+            raise DocumentError(f"seq: expected {position}, the event's position, got {seq}")
+        kind = read_field(doc, "kind", str)
+        if kind not in _INDEXES_OF_KIND:
+            raise DocumentError(f"kind: unknown event kind {kind!r}")
         event = cls(
-            kind=read_field(doc, "kind", str),
-            caller=read_field(doc, "caller", str, "", ""),
-            callee=read_field(doc, "callee", str, "", ""),
-            method=read_field(doc, "method", str, "", ""),
+            kind=kind,
             dei=_decode(doc, "dei", decoded),
             preliminary_dei=_decode(doc, "preliminary_dei", decoded),
+            caller=read_field(doc, "caller", str),
+            callee=read_field(doc, "callee", str),
+            method=read_field(doc, "method", str),
             payload=None if payload is None else tuple(payload.items()),
             outcome=read_field(doc, "outcome", dict, "", None),
             lineage=tuple(read_field(task, i, int, "task") for i in range(len(task))),
         )
-        if event.kind not in _INDEXES_OF_KIND:
-            raise DocumentError(f"kind: unknown event kind {event.kind!r}")
-        for key in _INDEXES_OF_KIND[event.kind]:
+        for key in _INDEXES_OF_KIND[kind]:
             if getattr(event, key) is None:
                 raise DocumentError(f"{key}: missing")
         return event
@@ -358,23 +368,24 @@ class ExecutionTrace(NamedTuple):
         cls,
         lines: Iterable[str],
         decoded: dict[str, DistributedExecutionIndex] | None = None,
-        records: dict[str, RpcEvent] | None = None,
+        records: dict[str, tuple[int, RpcEvent]] | None = None,
         headers: dict[str, dict[str, Any]] | None = None,
     ) -> ExecutionTrace:
         """Rebuild a trace from the lines `to_json_lines` wrote: a header, on
         the first line that is not blank, then events. A header without
         `config` loads as the full instantiation. Malformed input raises
         `DexiError` naming the offending line. `decoded` maps an index's wire
-        text to its index, `records` an event line to its event, and `headers`
-        a header line to its trace fields; all gain new entries. Pass the same
-        dicts to traces loaded together: a repeated line then reuses what it
-        built, unparsed, and each wire text becomes one index object, which
-        the lookups of `reconstruct_graph` then match by identity instead of
-        by `__eq__`: that, not decode time, is what `decoded` saves (README,
-        "Trace files"). Only lines that parsed are kept, so a malformed line
-        fails in every trace that holds it. Traces loaded so share their
-        events and header fields (`payload`, `outcome`, `entry.args`,
-        `entry_outcome`): do not mutate them.
+        text to its index, `records` an event line to its position and event,
+        and `headers` a header line to its trace fields; all gain new entries.
+        Pass the same dicts to traces loaded together: a line repeated at its
+        position then reuses what it built, unparsed (at another position its
+        `seq` is wrong, which parsing it reports), and each wire text becomes
+        one index object, which the lookups of `reconstruct_graph` then match
+        by identity instead of by `__eq__`: that, not decode time, is what
+        `decoded` saves (README, "Trace files"). Only lines that parsed are
+        kept, so a malformed line fails in every trace that holds it. Traces
+        loaded so share their events and header fields (`payload`, `outcome`,
+        `entry.args`, `entry_outcome`): do not mutate them.
         """
         decoded = {} if decoded is None else decoded
         records = {} if records is None else records
@@ -382,13 +393,15 @@ class ExecutionTrace(NamedTuple):
         header: dict[str, Any] | None = None
         events = []
         for number, line in enumerate(lines, 1):
-            known = headers.get(line) if header is None else records.get(line)
-            if known is not None:
-                if header is None:
-                    header = known
-                else:
-                    events.append(known)
-                continue
+            if header is None:
+                header = headers.get(line)
+                if header is not None:
+                    continue
+            else:
+                known = records.get(line)
+                if known is not None and known[0] == len(events):
+                    events.append(known[1])
+                    continue
             if not line.strip():
                 continue
             try:
@@ -404,7 +417,8 @@ class ExecutionTrace(NamedTuple):
                 if header is None:
                     header = headers[line] = _header(doc)
                 else:
-                    event = records[line] = RpcEvent.from_json(doc, decoded)
+                    event = RpcEvent.from_json(doc, decoded, len(events))
+                    records[line] = (len(events), event)
                     events.append(event)
             except DexiError as exc:
                 raise DexiError(f"line {number}: {exc}") from None
@@ -640,9 +654,10 @@ class IdentityTable:
     and encoded once; so are the paths that incoming metadata decodes to,
     one per distinct wire text, and the task paths of spawned blocks.
     `subtrees` keeps what a delivered RPC's callee did, by replay key (see
-    `_Execution.handle`). `explore` shares one table among its executions;
-    any other run builds its own. An execution runs the table's `app` under
-    its `config`."""
+    `_Execution.handle`). `events` keeps one object per distinct event,
+    under a key that fully determines the event (see `_Execution.record`).
+    `explore` shares one table among its executions; any other run builds
+    its own. An execution runs the table's `app` under its `config`."""
 
     def __init__(self, app: Application, config: InstantiationConfig) -> None:
         self.app = app
@@ -659,6 +674,7 @@ class IdentityTable:
         self._paths: dict[tuple[str | None, str | None], DistributedExecutionIndex] = {}
         self._lineages: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.subtrees: dict[tuple, _Subtree | None] = {}
+        self.events: dict[tuple, RpcEvent] = {}
 
     def invocation(self, service: str, method: str, args: Mapping[str, Any] | None,
                    frames: tuple[tuple[str, str], ...]) -> InvocationSignature:
@@ -797,14 +813,52 @@ class _Execution:
         if self._steps > self.budget:
             raise StepBudgetExceededError(f"execution exceeded its step budget of {self.budget}")
 
-    def record(self, kind: str, caller: str, callee: str, method: str,
+    def shared(self, key: tuple) -> bool:
+        """Append the event the exploration keeps under `key`, if it has one."""
+        event = self.identities.events.get(key)
+        if event is None:
+            return False
+        self.events.append(event)
+        return True
+
+    def record(self, key: tuple | None, kind: str, caller: str, callee: str, method: str,
                dei: DistributedExecutionIndex | None = None,
                preliminary_dei: DistributedExecutionIndex | None = None,
                payload: tuple[tuple[str, Any], ...] | None = None,
                outcome: dict[str, Any] | None = None,
                lineage: tuple[int, ...] = ()) -> None:
-        self.events.append(RpcEvent._make((kind, caller, callee, method,
-                                           dei, preliminary_dei, payload, outcome, lineage)))
+        """Append the event, or the exploration's first event under `key`;
+        a new one is kept under `key`. Where building the event costs more
+        than its key, the caller first tries `shared(key)`.
+
+        A key is `(kind, dei, preliminary_dei, lineage, caller, name, value)`,
+        where `{name: value}` is the outcome, and it must fully determine the
+        event's record, or be None. The index fixes callee and method through
+        its signature digest. An outcome is keyed only when it is one `str`
+        value, since Python equates `1`, `1.0` and `True` where JSON does not;
+        task paths are the table's, made of block numbers. An invocation is
+        keyed without its payload: when the instantiation keeps payloads, its
+        index fixes the canonical bytes of the arguments (`IdentityTable`
+        rejects two argument lists under one digest), and those fix the
+        values when each is a `str`.
+        """
+        event = None if key is None else self.identities.events.get(key)
+        if event is None:
+            event = RpcEvent._make((kind, caller, callee, method,
+                                    dei, preliminary_dei, payload, outcome, lineage))
+            if key is not None:
+                self.identities.events[key] = event
+        self.events.append(event)
+
+    def record_outcome(self, kind: str, caller: str, callee: str, method: str,
+                       dei: DistributedExecutionIndex, lineage: tuple[int, ...],
+                       name: str, value: Any) -> None:
+        """Record `kind` at `dei` with the outcome `{name: value}`, built
+        only when the exploration has no equal event."""
+        key = (kind, dei, None, lineage, caller, name, value) if type(value) is str else None
+        if key is None or not self.shared(key):
+            self.record(key, kind, caller, callee, method, dei, outcome={name: value},
+                        lineage=lineage)
 
     # -- index assignment
 
@@ -925,8 +979,10 @@ class _Execution:
             self.events.extend(record.events)
         else:
             kept, tasks = len(record.lineage), self.identities.lineage
-            self.events.extend([event._replace(lineage=tasks(lineage, event.lineage[kept:]))
-                                for event in record.events])
+            payloads = self.identities.config.include_payload
+            for event in record.events:
+                moved = tasks(lineage, event.lineage[kept:])
+                self.record(_event_key(event, moved, payloads), *event[:-1], moved)
         self.warnings.extend(record.warnings)
         if record.failure is not None:
             raise RpcFailure(record.failure)
@@ -957,36 +1013,49 @@ class _Execution:
         implicit = None
         if stream is not None and spec is None:
             implicit = self._stream_message_index(ctx, stream, final)
-        caller = ctx.service
-        # The payload is a snapshot: the caller may append to its lists later.
-        self.record("invocation", caller, callee, method, final, implicit, tuple([
-            (name, _fresh(value) if isinstance(value := args[name], _CONTAINERS) else value)
-            for name, _ in inv.signature.parameters
-        ]), lineage=ctx.lineage)
+        caller, lineage = ctx.service, ctx.lineage
+        key = ("invocation", final, implicit, lineage, caller, None, None)
+        if not self.shared(key):
+            # The payload is a snapshot: the caller may append to its lists later.
+            payload = tuple([
+                (name, _fresh(value) if isinstance(value := args[name], _CONTAINERS) else value)
+                for name, _ in inv.signature.parameters
+            ])
+            keyed = (self.identities.config.include_payload
+                     and all(type(value) is str for _, value in payload))
+            self.record(key if keyed else None, "invocation", caller, callee, method,
+                        final, implicit, payload, lineage=lineage)
         if spec is not None:
-            self.record("fault_injected", caller, callee, method, final,
-                        outcome=spec.descriptor(), lineage=ctx.lineage)
             if spec.mode == "response":
+                self.record(None, "fault_injected", caller, callee, method, final,
+                            outcome=spec.descriptor(), lineage=lineage)
                 value = spec.response
                 return _fresh(value) if isinstance(value, _CONTAINERS) else value
+            self.record_outcome("fault_injected", caller, callee, method, final, lineage,
+                                "fault", spec.fault_type)
             raise RpcFailure(spec.descriptor())
         metadata = {
             INDEX_METADATA_KEY: indexing.encode(dei if implicit is None else implicit),
             PRELIMINARY_METADATA_KEY: "false" if implicit is None else "true",
         }
         try:
-            value = self.handle(callee, method, args, metadata, ctx.lineage, final)
-            outcome, failed = {"value": value}, False
+            value, failure = self.handle(callee, method, args, metadata, lineage, final), None
         except (RpcFailure, HandlerAbort) as exc:
-            outcome, failed = dict(exc.descriptor), True
-        self.record("completion", caller, callee, method, final,
-                    outcome=outcome, lineage=ctx.lineage)
-        if failed:
-            # The callee's unhandled failure surfaces at this call site as a
-            # failure of this RPC, with the same descriptor.
-            raise RpcFailure(dict(outcome))
-        # The caller's own copy: the recorded outcome must not change.
-        return _fresh(value) if isinstance(value, _CONTAINERS) else value
+            failure = exc.descriptor
+        if failure is None:
+            self.record_outcome("completion", caller, callee, method, final, lineage,
+                                "value", value)
+            # The caller's own copy: the recorded outcome must not change.
+            return _fresh(value) if isinstance(value, _CONTAINERS) else value
+        if len(failure) == 1:
+            (name, value), = failure.items()
+            self.record_outcome("completion", caller, callee, method, final, lineage, name, value)
+        else:
+            self.record(None, "completion", caller, callee, method, final,
+                        outcome=dict(failure), lineage=lineage)
+        # The callee's unhandled failure surfaces at this call site as a
+        # failure of this RPC, with the same descriptor.
+        raise RpcFailure(dict(failure))
 
     # -- streams
 
@@ -1012,7 +1081,8 @@ class _Execution:
         base = self.assign_index(ctx, inv, preliminary=True)
         stream = _Stream(callee, method, base)
         ctx.streams.append(stream)
-        self.record("stream_opened", ctx.service, callee, method,
+        self.record(("stream_opened", None, base, ctx.lineage, ctx.service, None, None),
+                    "stream_opened", ctx.service, callee, method,
                     preliminary_dei=base, lineage=ctx.lineage)
         return stream
 
@@ -1037,7 +1107,8 @@ class _Execution:
                                    f"with {stream.in_flight} send(s) outstanding")
         stream.open = False
         for implicit, final in stream.pairs:
-            self.record("index_rewritten", "", stream.callee, stream.method, final, implicit)
+            self.record(("index_rewritten", final, implicit, (), "", None, None),
+                        "index_rewritten", "", stream.callee, stream.method, final, implicit)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1167,22 @@ def _fresh(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _fresh(item) for key, item in value.items()}
     return value
+
+
+def _event_key(event: RpcEvent, lineage: tuple[int, ...], payloads: bool) -> tuple | None:
+    """The key `_Execution.record` keeps `event` under once it is moved to
+    the task path `lineage`, or None; `payloads` says whether the
+    instantiation keeps payloads."""
+    kind, caller, _, _, dei, preliminary, payload, outcome, _ = event
+    if payload is not None and not (payloads and all(type(v) is str for _, v in payload)):
+        return None
+    if outcome is None:
+        return (kind, dei, preliminary, lineage, caller, None, None)
+    if len(outcome) == 1:
+        (name, value), = outcome.items()
+        if type(value) is str:
+            return (kind, dei, preliminary, lineage, caller, name, value)
+    return None
 
 
 def _holds_map(value: Any) -> bool:

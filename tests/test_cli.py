@@ -207,6 +207,8 @@ class TestGraph:
         ]
 
     HEADER = '{"kind": "trace_header", "entry": {"service": "a", "method": "m", "args": {}}'
+    EVENT = ('{"kind": "invocation", "seq": 0, "caller": "a", "callee": "b", "method": "m", '
+             '"dei": "[sig:75993234f58a62b9,pay:49c7fce9cabca65d,stk:33b38fa34252ac0f|1]"}\n')
 
     @pytest.mark.parametrize(
         "text,error",
@@ -225,10 +227,19 @@ class TestGraph:
             (HEADER + '}\n{"kind": "bogus", "seq": 0}\n', "line 2: kind: "),
             (HEADER + '}\n{"kind": "invocation", "seq": 0, "caller": "a", "callee": "b", '
                       '"method": "m"}\n', "line 2: dei: missing"),
+            (HEADER + '}\n' + EVENT.replace('"seq": 0', '"seq": 1'),
+             "line 2: seq: expected 0, the event's position, got 1"),
+            # The second copy of the line is the one the `records` memo holds.
+            (HEADER + '}\n' + EVENT + EVENT,
+             "line 3: seq: expected 1, the event's position, got 0"),
+            (HEADER + '}\n' + EVENT.replace('"caller": "a", ', ''), "line 2: caller: missing"),
+            (HEADER + '}\n' + EVENT.replace('"callee": "b", ', ''), "line 2: callee: missing"),
+            (HEADER + '}\n' + EVENT.replace('"method": "m", ', ''), "line 2: method: missing"),
         ],
         ids=["not-json", "header-without-entry", "list-record", "event-without-seq", "deep",
              "config-value-str", "warnings-str", "seed-str", "empty-dei", "unknown-kind",
-             "invocation-without-dei"],
+             "invocation-without-dei", "seq-not-position", "seq-of-a-parsed-line",
+             "caller-missing", "callee-missing", "method-missing"],
     )
     def test_undecodable_trace_rejected(self, tmp_path, capsys, text, error):
         bad = tmp_path / "bad.jsonl"
